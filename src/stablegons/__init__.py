@@ -44,6 +44,7 @@ from .cone import (
 )
 from .errors import (
     ChamberMismatch,
+    InternalError,
     InvalidArgument,
     NoLimit,
     NoModuli,

@@ -8,8 +8,19 @@ one of the interior walls
     sum_{j in J} r_j  =  sum_{j not in J} r_j,        2 <= |J| <= n - 2,
 
 and a wall is the same for J and its complement.  Everything below is computed
-over exact rationals: wall membership is a knife-edge predicate, so floating
-point has no business deciding it.
+exactly: wall membership is a knife-edge predicate, so floating point has no
+business deciding it.
+
+A :class:`LengthVector` clears denominators once: its lengths are the
+integers ``ints`` over one common denominator ``den``.  Queries that range
+over all subsets (:func:`signature`, :func:`line_gons`,
+:func:`relevant_subsets`, :func:`classify`, :func:`same_chamber`) read a table
+of all 2^n integer subset sums, indexed by bitmask (bit j-1 for label j),
+which the vector builds on first use and keeps; the margin of J is then
+(2 sums[J] - sum r) / den.  Queries that involve only pairs of edges
+(:func:`is_favorable`, :func:`favorable_index`, :func:`nabla_index`) and
+single margins (:func:`wall_margin`) are computed from ``ints`` directly and
+never build the table.
 
 The module also carries the bookkeeping that feeds the bubble-tree machinery:
 which subsets J may acquire a bubble (the "relevant" ones, where J is the
@@ -21,12 +32,14 @@ its last edge dominates, so the new edge can never degenerate with others.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional
 
-from .errors import InvalidArgument, RangeError
+from .errors import InternalError, InvalidArgument, RangeError
 
 __all__ = [
     "rational",
@@ -74,9 +87,11 @@ class LengthVector:
 
     All entries must be positive; whether the vector lies in the interior of
     the polygon cone is reported by :meth:`in_cone_interior`, not enforced.
+    The same lengths are also kept as the integers `ints` over the common
+    denominator `den`, so r_i = ints[i-1] / den.
     """
 
-    __slots__ = ("r",)
+    __slots__ = ("r", "ints", "den", "_sums")
 
     def __init__(self, lengths: Iterable):
         r = tuple(rational(x) for x in lengths)
@@ -85,13 +100,29 @@ class LengthVector:
         if any(x <= 0 for x in r):
             raise InvalidArgument("all side lengths must be positive")
         self.r = r
+        self.den = lcm(*(x.denominator for x in r))
+        self.ints = tuple(x.numerator * (self.den // x.denominator) for x in r)
+        self._sums = None
 
     @property
     def n(self) -> int:
         return len(self.r)
 
+    def subset_sums(self) -> list:
+        """All 2^n subset sums of `ints`, indexed by bitmask (bit j-1 for label j).
+
+        Built on first use by one doubling pass and kept on the vector; the
+        last entry is the perimeter times `den`.
+        """
+        if self._sums is None:
+            sums = [0]
+            for v in self.ints:
+                sums += [s + v for s in sums]
+            self._sums = sums
+        return self._sums
+
     def perimeter(self) -> Fraction:
-        return sum(self.r, Fraction(0))
+        return Fraction(sum(self.ints), self.den)
 
     def normalized(self) -> tuple:
         """The rescaled vector 2r/perimeter (sums to 2)."""
@@ -99,12 +130,10 @@ class LengthVector:
         return tuple(2 * x / L for x in self.r)
 
     def in_cone_interior(self) -> bool:
-        L = self.perimeter()
-        return all(2 * x < L for x in self.r)
+        return 2 * max(self.ints) < sum(self.ints)
 
     def on_cone_boundary(self) -> bool:
-        L = self.perimeter()
-        return all(2 * x <= L for x in self.r) and any(2 * x == L for x in self.r)
+        return 2 * max(self.ints) == sum(self.ints)
 
     def scaled(self, factor) -> "LengthVector":
         f = rational(factor)
@@ -113,7 +142,7 @@ class LengthVector:
         return LengthVector(x * f for x in self.r)
 
     def subset_sum(self, J: Iterable[int]) -> Fraction:
-        return sum((self.r[j - 1] for j in J), Fraction(0))
+        return Fraction(sum(self.ints[j - 1] for j in J), self.den)
 
     def multiset(self) -> tuple:
         return tuple(sorted(self.r))
@@ -189,8 +218,7 @@ def wall_margin(r, J) -> Fraction:
     """
     r = as_length_vector(r)
     J = _check_subset(J, r.n)
-    inside = r.subset_sum(J)
-    return 2 * inside - r.perimeter()
+    return Fraction(2 * sum(r.ints[j - 1] for j in J) - sum(r.ints), r.den)
 
 
 def all_walls(n: int):
@@ -204,8 +232,43 @@ def all_walls(n: int):
     return out
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def _mask(J) -> int:
+    return sum(1 << (j - 1) for j in J)
+
+
+@functools.cache
+def _canonical_walls(n: int) -> tuple:
+    """(walls, masks): :func:`all_walls` of n and the bitmask of each wall's J."""
+    walls = tuple(all_walls(n))
+    return walls, tuple(_mask(w.J) for w in walls)
+
+
+@functools.cache
+def _bubble_candidates(n: int) -> tuple:
+    """(mask, J) for every J with 2 <= |J| <= n-2 over all n labels, sorted by J."""
+    out = [
+        (_mask(J), J)
+        for k in range(2, n - 1)
+        for J in itertools.combinations(range(1, n + 1), k)
+    ]
+    out.sort(key=lambda item: item[1])
+    return tuple(out)
+
+
+def _light_sides(r: LengthVector, min_size: int = 2):
+    """(J, 2 sum_J ints - sum ints) for the light sides J, sorted by J.
+
+    Covers min_size <= |J| <= n-2 with a margin <= 0; the second entry is the
+    margin of J times `r.den`.
+    """
+    sums = r.subset_sums()
+    total = sums[-1]
+    lo = max(2, min_size)
+    return [
+        (J, 2 * sums[m] - total)
+        for m, J in _bubble_candidates(r.n)
+        if len(J) >= lo and 2 * sums[m] <= total
+    ]
 
 
 class ChamberSignature:
@@ -213,39 +276,49 @@ class ChamberSignature:
 
     Two off-wall vectors lie in the same (maximal) chamber iff their
     signatures agree; agreeing zeros identify a common lower-dimensional
-    chamber on the walls themselves.
+    chamber on the walls themselves.  The signs are stored as the tuple
+    `vector`, one entry per wall of :func:`all_walls` in that order;
+    `signs` presents them as a mapping from :class:`WallIndex` to sign.
     """
 
-    __slots__ = ("n", "signs")
+    __slots__ = ("n", "vector")
 
-    def __init__(self, n: int, signs: dict):
+    def __init__(self, n: int, vector: tuple):
         self.n = n
-        self.signs = dict(signs)
+        self.vector = tuple(vector)
 
     @classmethod
     def of(cls, r) -> "ChamberSignature":
         r = as_length_vector(r)
-        signs = {w: _sign(wall_margin(r, w.J)) for w in all_walls(r.n)}
-        return cls(r.n, signs)
+        _, masks = _canonical_walls(r.n)
+        sums = r.subset_sums()
+        total = sums[-1]
+        return cls(
+            r.n,
+            ((2 * sums[m] > total) - (2 * sums[m] < total) for m in masks),
+        )
+
+    @property
+    def signs(self) -> dict:
+        return dict(zip(_canonical_walls(self.n)[0], self.vector))
 
     def zeros(self):
-        return sorted(w.J for w, s in self.signs.items() if s == 0)
+        walls, _ = _canonical_walls(self.n)
+        return sorted(w.J for w, s in zip(walls, self.vector) if s == 0)
 
     def __eq__(self, other):
         return (
             isinstance(other, ChamberSignature)
             and self.n == other.n
-            and self.signs == other.signs
+            and self.vector == other.vector
         )
 
     def __hash__(self):
-        return hash((self.n, tuple(sorted((w.J, s) for w, s in self.signs.items()))))
+        return hash((self.n, self.vector))
 
     def to_json(self):
-        return [
-            {"J": list(w.J), "sign": s}
-            for w, s in sorted(self.signs.items(), key=lambda p: (len(p[0].J), p[0].J))
-        ]
+        walls, _ = _canonical_walls(self.n)
+        return [{"J": list(w.J), "sign": s} for w, s in zip(walls, self.vector)]
 
 
 def signature(r) -> ChamberSignature:
@@ -273,6 +346,16 @@ def central_base(n: int) -> LengthVector:
     return LengthVector(1 + delta * 2 ** (i - 1) for i in range(1, n + 1))
 
 
+@functools.cache
+def _central_signature(n: int) -> "ChamberSignature":
+    return signature(central_base(n))
+
+
+def _heavy_pair(r: LengthVector, total: int, j: int, k: int) -> bool:
+    """r_j + r_k > sum of the rest, with `total` the sum of `r.ints`."""
+    return 2 * (r.ints[j - 1] + r.ints[k - 1]) > total
+
+
 def is_favorable(r, i: int) -> bool:
     """Does edge i dominate, i.e. r_i + r_j > sum of the rest for every j?
 
@@ -281,7 +364,8 @@ def is_favorable(r, i: int) -> bool:
     r = as_length_vector(r)
     if not 1 <= i <= r.n:
         raise InvalidArgument(f"index {i} out of range")
-    return all(wall_margin(r, (i, j)) > 0 for j in range(1, r.n + 1) if j != i)
+    total = sum(r.ints)
+    return all(_heavy_pair(r, total, i, j) for j in range(1, r.n + 1) if j != i)
 
 
 def favorable_index(r) -> Optional[int]:
@@ -304,11 +388,13 @@ def nabla_index(r) -> Optional[int]:
     space is a product of projective lines (trivially so, being a single one).
     """
     r = as_length_vector(r)
+    total = sum(r.ints)
     hits = []
     for i in range(1, r.n + 1):
         others = [j for j in range(1, r.n + 1) if j != i]
         if all(
-            wall_margin(r, (j, k)) > 0 for j, k in itertools.combinations(others, 2)
+            _heavy_pair(r, total, j, k)
+            for j, k in itertools.combinations(others, 2)
         ):
             hits.append(i)
     return hits[0] if len(hits) == 1 else None
@@ -322,7 +408,9 @@ def line_gons(r):
     polygon space.
     """
     r = as_length_vector(r)
-    return [w.J for w in all_walls(r.n) if wall_margin(r, w.J) == 0]
+    walls, masks = _canonical_walls(r.n)
+    sums = r.subset_sums()
+    return [w.J for w, m in zip(walls, masks) if 2 * sums[m] == sums[-1]]
 
 
 @dataclass
@@ -359,9 +447,7 @@ def classify(r, base: Optional[LengthVector] = None) -> ClassifyReport:
     r = as_length_vector(r)
     sig = signature(r)
     on = sig.zeros()
-    if base is None:
-        base = central_base(r.n)
-    base_sig = signature(base)
+    base_sig = _central_signature(r.n) if base is None else signature(base)
     central = sig == base_sig
     return ClassifyReport(
         in_cone_interior=r.in_cone_interior(),
@@ -385,14 +471,10 @@ def relevant_subsets(r, min_size: int = 2, with_margins: bool = False):
     r = as_length_vector(r)
     if not r.in_cone_interior():
         raise InvalidArgument("r must lie in the interior of the polygon cone")
-    out = []
-    for k in range(max(2, min_size), r.n - 1):
-        for J in itertools.combinations(range(1, r.n + 1), k):
-            m = wall_margin(r, J)
-            if m <= 0:
-                out.append((J, m) if with_margins else J)
-    out.sort(key=lambda item: item[0] if with_margins else item)
-    return out
+    light = _light_sides(r, min_size)
+    if with_margins:
+        return [(J, Fraction(d, r.den)) for J, d in light]
+    return [J for J, _ in light]
 
 
 def epsilon_range(r, J) -> tuple:
@@ -430,7 +512,8 @@ def augment(r, J, eps_J) -> LengthVector:
     J = _check_subset(J, r.n)
     tail = r.subset_sum(J) - eps
     out = LengthVector([r.r[j - 1] for j in J] + [tail])
-    assert is_favorable(out, out.n), "augmented vector left the dominated chamber"
+    if not is_favorable(out, out.n):
+        raise InternalError("augmented vector left the dominated chamber")
     return out
 
 
@@ -462,14 +545,22 @@ class EpsilonAssignment:
         raise InvalidArgument(f"no epsilon assigned for J={sorted(key)}")
 
     def legal_for(self, r) -> bool:
-        """Are all explicit entries (and the default) inside their ranges?"""
+        """Are all explicit entries (and the default) inside their ranges?
+
+        The default answers for every relevant subset.  For n >= 4 the two
+        shortest edges always form one, so the default is legal exactly when
+        0 < default < 2 min_i r_i.
+        """
         r = as_length_vector(r)
         for key, v in self.eps.items():
             bound = 2 * min(r.r[j - 1] for j in key)
             if not 0 < v < bound:
                 return False
-        if self.default is not None and not 0 < self.default:
-            return False
+        if self.default is not None:
+            if not 0 < self.default:
+                return False
+            if r.n >= 4 and not self.default < 2 * min(r.r):
+                return False
         return True
 
     def to_json(self):

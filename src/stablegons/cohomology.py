@@ -38,10 +38,10 @@ from .chambers import (
     as_length_vector,
     is_favorable,
     line_gons,
-    relevant_subsets,
-    wall_margin,
+    _canonical_walls,
+    _light_sides,
 )
-from .errors import InvalidArgument
+from .errors import InternalError, InvalidArgument
 
 __all__ = [
     "PoincarePoly",
@@ -170,19 +170,9 @@ def set_partitions(items):
         yield tuple(sorted(part + ((first,),), key=lambda b: b[0]))
 
 
-def merged_lengths(r: LengthVector, blocks) -> tuple:
-    """Block sums of r, one entry per block, in block order."""
-    return tuple(sum((r.r[j - 1] for j in b), Fraction(0)) for b in blocks)
-
-
-def _cone_closed(values) -> bool:
-    total = sum(values)
-    return all(2 * v <= total for v in values)
-
-
-def _cone_interior(values) -> bool:
-    total = sum(values)
-    return all(2 * v < total for v in values)
+def _block_sums(r: LengthVector, blocks) -> list:
+    """Block sums of `r.ints` (block sums of r times `r.den`), in block order."""
+    return [sum(r.ints[j - 1] for j in b) for b in blocks]
 
 
 @dataclass
@@ -211,18 +201,6 @@ class Stratum:
         }
 
 
-def refines(alpha, beta) -> bool:
-    """Is beta a refinement of alpha (every block of beta inside one of alpha)?
-
-    The stratum of alpha is contained in the stratum of beta exactly then.
-    """
-    lookup = {}
-    for idx, block in enumerate(alpha):
-        for j in block:
-            lookup[j] = idx
-    return all(len({lookup[j] for j in block}) == 1 for block in beta)
-
-
 def strata(r, include_empty: bool = False, include_trivial: bool = True):
     """All parallel-edge strata of the polygon space of r.
 
@@ -238,15 +216,16 @@ def strata(r, include_empty: bool = False, include_trivial: bool = True):
     r = as_length_vector(r)
     if not r.in_cone_interior():
         raise InvalidArgument("r must lie in the interior of the polygon cone")
+    total = sum(r.ints)
     entries = []
     for blocks in set_partitions(range(1, r.n + 1)):
         merged = tuple(b for b in blocks if len(b) >= 2)
         if not merged and not include_trivial:
             continue
-        ra = merged_lengths(r, blocks)
+        sums = _block_sums(r, blocks)
         k = len(blocks)
-        closed = k >= 2 and _cone_closed(ra)
-        open_ = k >= 3 and _cone_interior(ra)
+        closed = k >= 2 and 2 * max(sums) <= total
+        open_ = k >= 3 and 2 * max(sums) < total
         if not closed and not include_empty:
             continue
         entries.append(
@@ -257,7 +236,7 @@ def strata(r, include_empty: bool = False, include_trivial: bool = True):
                 merged=merged,
                 nonempty_closed=closed,
                 nonempty_open=open_,
-                r_alpha=ra,
+                r_alpha=tuple(Fraction(x, r.den) for x in sums),
             )
         )
     index = {e.blocks: e for e in entries}
@@ -314,7 +293,7 @@ def schedule(r, eps: Optional[EpsilonAssignment] = None):
         steps.append(
             BlowupStep(kind="resolution", center=J, codim=r.n - 3, nontrivial=True)
         )
-    centers = [J for J in relevant_subsets(r, 2) if wall_margin(r, J) < 0]
+    centers = [J for J, d in _light_sides(r, 2) if d < 0]
     centers.sort(key=lambda J: (-len(J), J))
     for J in centers:
         steps.append(
@@ -344,25 +323,29 @@ def _crossings(r0: LengthVector, r1: LengthVector):
     """Wall crossings of the segment r(u) = (1-u) r0 + u r1, 0 <= u <= 1.
 
     Returns (ok, events) where events are (u, J, sign_after) for canonical J;
-    ok is False when two walls are hit at the same parameter, in which case
-    the caller should perturb the reference end.
+    ok is False when r0 lies on a wall or two walls are hit at the same
+    parameter, in which case the caller should perturb the reference end.
+    Signs are compared on the integer subset-sum tables; u is formed only for
+    walls whose sign flips.
     """
-    n = r0.n
+    s0, s1 = r0.subset_sums(), r1.subset_sums()
     events = []
     seen = set()
-    for k in range(2, n - 1):
-        for J in itertools.combinations(range(1, n), k):
-            m0 = wall_margin(r0, J)
-            m1 = wall_margin(r1, J)
-            if m0 == 0 or m1 == 0:
-                raise InvalidArgument("segment endpoint lies on a wall")
-            if (m0 > 0) == (m1 > 0):
-                continue
-            u = Fraction(m0, m0 - m1)
-            if u in seen:
-                return False, []
-            seen.add(u)
-            events.append((u, J, 1 if m1 > 0 else -1))
+    for w, m in zip(*_canonical_walls(r0.n)):
+        # the margins are d0 / r0.den and d1 / r1.den
+        d0 = 2 * s0[m] - s0[-1]
+        d1 = 2 * s1[m] - s1[-1]
+        if d1 == 0:
+            raise InvalidArgument("segment endpoint lies on a wall")
+        if d0 == 0:
+            return False, []
+        if (d0 > 0) == (d1 > 0):
+            continue
+        u = Fraction(d0 * r1.den, d0 * r1.den - d1 * r0.den)
+        if u in seen:
+            return False, []
+        seen.add(u)
+        events.append((u, w.J, 1 if d1 > 0 else -1))
     events.sort()
     return True, events
 
@@ -392,7 +375,7 @@ def poincare_wall_crossing(r) -> PoincarePoly:
     step = LengthVector(Fraction(2 ** (i - 1), n**4 * 2**n) for i in range(1, n + 1))
     for k in range(0, 4096):
         r0 = LengthVector(b + k * s for b, s in zip(base.r, step.r))
-        if not is_favorable(r0, n) or line_gons(r0):
+        if not is_favorable(r0, n):
             continue
         ok, events = _crossings(r0, r)
         if ok:
@@ -438,7 +421,7 @@ def ih_poincare_center(n: int) -> PoincarePoly:
 
 
 def _normalize_multiset(values) -> tuple:
-    """Scale a multiset of rationals to a canonical coprime integer tuple."""
+    """Scale a multiset of positive rationals or ints to coprime integers."""
     denom = 1
     for v in values:
         denom = denom * v.denominator // gcd(denom, v.denominator)
@@ -476,24 +459,24 @@ class _BettiEngine:
         if key not in self._open:
             poly = self.e_closed(key)
             k = len(key)
+            total = sum(key)
             for blocks in set_partitions(range(k)):
                 if len(blocks) == k or len(blocks) < 3:
                     continue
-                sums = tuple(sum(key[i] for i in b) for b in blocks)
-                total = sum(sums)
-                if all(2 * s < total for s in sums):
-                    poly = poly - self.e_open(_normalize_multiset_int(sums))
+                sums = [sum(key[i] for i in b) for b in blocks]
+                if 2 * max(sums) < total:
+                    poly = poly - self.e_open(_normalize_multiset(sums))
             self._open[key] = poly
         return self._open[key]
 
     def component_vector(self, members: Sequence[frozenset], ground, last=None):
-        """Length multiset of one bubble-tree component.
+        """Length multiset of one bubble-tree component, times `r.den`.
 
         `members` are the collapsed children, `ground` the loose labels, and
-        `last` the exact length of the closing edge for non-root components.
+        `last` the exact length of the closing edge times `r.den`, for
+        non-root components.
         """
-        vals = [sum((self.r.r[j - 1] for j in m), Fraction(0)) for m in members]
-        vals += [self.r.r[j - 1] for j in ground]
+        vals = _block_sums(self.r, members) + [self.r.ints[j - 1] for j in ground]
         if last is not None:
             vals.append(last)
         return vals
@@ -501,9 +484,9 @@ class _BettiEngine:
     def bubble_sum(self, J: frozenset) -> PoincarePoly:
         """Sum over all bubble trees rooted at J of their E-polynomial product."""
         if J not in self._bubble:
-            eps_J = self.eps.get(J)
-            sum_J = sum((self.r.r[j - 1] for j in J), Fraction(0))
-            last = sum_J - eps_J
+            ints = self.r.ints
+            sum_J = sum(ints[j - 1] for j in J)
+            last = sum_J - self.eps.get(J) * self.r.den
             total = sum_J + last
             candidates = [
                 frozenset(c)
@@ -511,14 +494,14 @@ class _BettiEngine:
                 for c in itertools.combinations(sorted(J), k)
                 # the collapsed child must stay strictly short of half the
                 # bubble perimeter or the component vector leaves the cone
-                if 2 * sum(self.r.r[j - 1] for j in c) < total
+                if 2 * sum(ints[j - 1] for j in c) < total
             ]
             acc = PoincarePoly()
             for family in _disjoint_families(candidates):
                 covered = set().union(*family) if family else set()
                 loose = [j for j in sorted(J) if j not in covered]
                 vals = self.component_vector(family, loose, last)
-                if not _cone_interior(vals):
+                if 2 * max(vals) >= sum(vals):
                     continue
                 term = self.e_open(_normalize_multiset(vals))
                 for child in family:
@@ -529,32 +512,20 @@ class _BettiEngine:
 
     def total(self) -> PoincarePoly:
         labels = range(1, self.n + 1)
-        candidates = [
-            frozenset(J)
-            for k in range(2, self.n)
-            for J in itertools.combinations(labels, k)
-            if wall_margin(self.r, J) < 0
-        ]
+        # strictly light J; a light J of size n-1 would put r outside the cone
+        candidates = [frozenset(J) for J, d in _light_sides(self.r, 2) if d < 0]
         acc = PoincarePoly()
         for family in _disjoint_families(candidates):
             covered = set().union(*family) if family else set()
             loose = [j for j in labels if j not in covered]
             vals = self.component_vector(family, loose)
-            if not _cone_interior(vals):
+            if 2 * max(vals) >= sum(vals):
                 continue
             term = self.e_open(_normalize_multiset(vals))
             for child in family:
                 term = term * self.bubble_sum(child)
             acc = acc + term
         return acc
-
-
-def _normalize_multiset_int(values) -> tuple:
-    ints = sorted(int(v) for v in values)
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    return tuple(v // g for v in ints) if g else tuple(ints)
 
 
 def _disjoint_families(candidates):
@@ -600,5 +571,5 @@ def stable_betti(r, eps: Optional[EpsilonAssignment] = None) -> PoincarePoly:
     engine = _BettiEngine(r, eps)
     poly = engine.total()
     if any(c < 0 for c in poly.coeffs) or not poly.palindromic():
-        raise AssertionError(f"stratification sum came out malformed: {poly!r}")
+        raise InternalError(f"stratification sum came out malformed: {poly!r}")
     return poly

@@ -27,8 +27,9 @@ from .chambers import (
     central_base,
     relevant_subsets,
     signature,
+    _central_signature,
 )
-from .errors import InvalidArgument
+from .errors import InternalError, InvalidArgument
 
 __all__ = [
     "central_contains",
@@ -57,9 +58,8 @@ def central_contains(r, base: Optional[LengthVector] = None) -> bool:
     _require_n(r)
     if not r.in_cone_interior():
         return False
-    if base is None:
-        base = central_base(r.n)
-    return signature(r) == signature(base)
+    want = _central_signature(r.n) if base is None else signature(base)
+    return signature(r) == want
 
 
 def central_report(r, base: Optional[LengthVector] = None) -> dict:
@@ -140,11 +140,13 @@ def param_sample(n: int, seed: int = 0) -> ParamPoint:
     r = LengthVector(
         b + scale * Fraction(rng.randint(0, n * n), n * n) for b in base.r
     )
-    assert central_contains(r), "sampler left the central chamber"
+    if not central_contains(r):
+        raise InternalError("sampler left the central chamber")
     eps = {}
     for J in relevant_subsets(r, 3):
         hi = 2 * min(r.r[j - 1] for j in J)
         eps[J] = hi * Fraction(rng.randint(1, 63), 64)
     point = ParamPoint(r=r, eps=EpsilonAssignment(eps))
-    assert n + len(eps) == param_dim(n), "dimension bookkeeping failed"
+    if n + len(eps) != param_dim(n):
+        raise InternalError("dimension bookkeeping failed")
     return point

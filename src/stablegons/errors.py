@@ -30,6 +30,10 @@ class StructureError(InvalidArgument):
     """A bubble tree is malformed (non-laminar subsets, bad parentage)."""
 
 
+class InternalError(RuntimeError):
+    """An invariant the library guarantees did not hold: a bug, not bad input."""
+
+
 class NonConvergence(RuntimeError):
     """An iterative solver ran out of budget.  Carries the final residual."""
 

@@ -41,6 +41,7 @@ from .chambers import (
     _check_subset,
 )
 from .errors import (
+    InternalError,
     InvalidArgument,
     NoLimit,
     NoModuli,
@@ -164,14 +165,6 @@ class StabilityReport:
                 for c in self.checks
             ],
         }
-
-
-def _context_lengths(sp: StablePolygon, node: StableNode) -> dict:
-    """label -> exact length inside the given component."""
-    out = {}
-    for lab, val in zip(node.frame.labels, node.frame.lengths.r):
-        out[lab] = val
-    return out
 
 
 def validate(
@@ -580,5 +573,6 @@ def to_stable_curve(
         for c in nd.children:
             edges.append((nd.subset, c.subset))
     curve = DualCurve(vertices=vertices, edges=edges)
-    assert curve.is_tree(), "bubble relation did not produce a tree"
+    if not curve.is_tree():
+        raise InternalError("bubble relation did not produce a tree")
     return curve

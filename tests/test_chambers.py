@@ -1,9 +1,15 @@
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import stablegons
+from stablegons import chambers
 from stablegons.chambers import (
     EpsilonAssignment,
     LengthVector,
@@ -16,11 +22,13 @@ from stablegons.chambers import (
     favorable_index,
     is_favorable,
     line_gons,
+    nabla_index,
     relevant_subsets,
     same_chamber,
+    signature,
     wall_margin,
 )
-from stablegons.errors import InvalidArgument, RangeError
+from stablegons.errors import InternalError, InvalidArgument, RangeError
 
 F = Fraction
 
@@ -249,3 +257,156 @@ def test_classify_json_fields():
         "central",
     }
     assert rep["favorable_index"] == 5
+
+
+def test_epsilon_assignment_default_bounded_by_twice_min():
+    # the pair of the two shortest edges is relevant, so a default must lie
+    # below 2 min_i r_i
+    assert not EpsilonAssignment(default=10).legal_for((1, 1, 1, 1, 1))
+    assert not EpsilonAssignment(default=2).legal_for((1, 1, 1, 1, 1))
+    assert EpsilonAssignment(default=F(19, 10)).legal_for((1, 1, 1, 1, 1))
+    for r in [(1, 1, 1, 1, 1), (2, 3, 5, 5, 5), ("1", "1", "1", "1", "3.5")]:
+        assert EpsilonAssignment.canonical(r).legal_for(r)
+
+
+def test_augment_invariant_raises_internal_error(monkeypatch):
+    monkeypatch.setattr(chambers, "is_favorable", lambda r, i: False)
+    with pytest.raises(InternalError):
+        augment(LengthVector([1] * 6), (1, 2, 3), 1)
+
+
+def test_augment_invariant_survives_optimize_flag():
+    code = (
+        "import stablegons.chambers as c\n"
+        "from stablegons.errors import InternalError\n"
+        "c.is_favorable = lambda r, i: False\n"
+        "try:\n"
+        "    c.augment([1] * 6, (1, 2, 3), 1)\n"
+        "except InternalError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(pathlib.Path(stablegons.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr.decode()
+
+
+# ---------------------------------------------------------------------------
+# the integer subset-sum table against direct Fraction sums
+# ---------------------------------------------------------------------------
+
+
+def _reference(r):
+    """Every wall query for the exact vector r, by direct Fraction summation."""
+    n = len(r)
+    total = sum(r, F(0))
+    margin = {}
+    for k in range(1, n):
+        for J in itertools.combinations(range(1, n), k):
+            m = 2 * sum((r[j - 1] for j in J), F(0)) - total
+            margin[J] = m
+            margin[tuple(j for j in range(1, n + 1) if j not in J)] = -m
+    sign = {J: (m > 0) - (m < 0) for J, m in margin.items()}
+    walls = [J for k in range(2, n - 1) for J in itertools.combinations(range(1, n), k)]
+    labels = range(1, n + 1)
+
+    def heavy(j, k):
+        return margin[tuple(sorted((j, k)))] > 0
+
+    favorable = [i for i in labels if all(heavy(i, j) for j in labels if j != i)]
+    nabla = [
+        i
+        for i in labels
+        if all(
+            heavy(j, k)
+            for j, k in itertools.combinations([j for j in labels if j != i], 2)
+        )
+    ]
+    return {
+        "margin": margin,
+        "signs": [(J, sign[J]) for J in walls],
+        "line_gons": [J for J in walls if sign[J] == 0],
+        "light": sorted(
+            (J, m) for J, m in margin.items() if 2 <= len(J) <= n - 2 and m <= 0
+        ),
+        "favorable": favorable,
+        "favorable_index": favorable[0] if len(favorable) == 1 else None,
+        "nabla_index": nabla[0] if len(nabla) == 1 else None,
+    }
+
+
+def _draw(rng, n, kind):
+    """An exact length vector and the raw input of the given kind for it."""
+    if kind == "int":
+        return [F(rng.randint(1, 30)) for _ in range(n)]
+    if kind == "str":
+        return [F(rng.randint(1000, 3000), 1000) for _ in range(n)]
+    if kind == "float":
+        # multiples of 1/64 are exact binary64 values
+        return [F(rng.randint(64, 192), 64) for _ in range(n)]
+    return [F(rng.randint(1, 40), rng.randint(1, 12)) for _ in range(n)]
+
+
+def _raw(exact, kind):
+    if kind == "str":
+        return ["%d.%03d" % divmod(int(x * 1000), 1000) for x in exact]
+    if kind == "float":
+        return [float(x) for x in exact]
+    if kind == "int":
+        return [int(x) for x in exact]
+    return list(exact)
+
+
+def _table_cases(count=200, seed=20240611):
+    """Seeded interior vectors at n = 4..12; one in four sits exactly on a wall."""
+    rng = random.Random(seed)
+    kinds = ("fraction", "str", "float", "int")
+    for k in range(count):
+        n = 4 + k % 9
+        kind = kinds[(k // 4) % 4]
+        while True:
+            exact = _draw(rng, n, kind)
+            if k % 4 == 0:
+                J = rng.sample(range(n), rng.randint(2, n - 2))
+                gap = 2 * sum(exact[j] for j in J) - sum(exact)
+                side = [j for j in range(n) if (j in J) == (gap < 0)]
+                exact[rng.choice(side)] += abs(gap)
+            elif kind == "float" and k % 8 == 1:
+                # 0.1 taken at its exact binary value, not as 1/10
+                exact[rng.randrange(n)] = F(0.1)
+            if 2 * max(exact) < sum(exact):
+                break
+        raw = _raw(exact, kind)
+        assert [F(x) for x in raw] == exact
+        yield k, exact, raw
+
+
+def test_subset_sum_table_matches_fraction_reference():
+    rng = random.Random(5)
+    on_wall = 0
+    for k, exact, raw in _table_cases():
+        ref = _reference(exact)
+        n = len(exact)
+        sig = signature(raw)
+        assert all(isinstance(w, WallIndex) for w in sig.signs)
+        assert [(w.J, s) for w, s in sig.signs.items()] == ref["signs"]
+        assert [(tuple(e["J"]), e["sign"]) for e in sig.to_json()] == ref["signs"]
+        assert sig.zeros() == sorted(ref["line_gons"])
+        assert line_gons(raw) == ref["line_gons"]
+        on_wall += bool(ref["line_gons"])
+        assert relevant_subsets(raw, 2, with_margins=True) == ref["light"]
+        assert relevant_subsets(raw, 3) == [J for J, _ in ref["light"] if len(J) >= 3]
+        lv = LengthVector(raw)
+        for J in rng.sample(sorted(ref["margin"]), min(20, len(ref["margin"]))):
+            assert wall_margin(lv, J) == ref["margin"][J]
+        assert [i for i in range(1, n + 1) if is_favorable(lv, i)] == ref["favorable"]
+        assert favorable_index(raw) == ref["favorable_index"]
+        assert nabla_index(raw) == ref["nabla_index"]
+        # equal signatures hash equal: a rescaled copy and a fresh vector
+        for other in (lv.scaled(F(7, 3)), LengthVector(exact)):
+            assert signature(other) == sig
+            assert hash(signature(other)) == hash(sig)
+    assert on_wall >= 50
