@@ -391,10 +391,8 @@ def poincare_wall_crossing(r) -> PoincarePoly:
     return poly
 
 
-def poincare_center(n: int) -> PoincarePoly:
-    """Closed form for the chamber at the all-ones ray, n odd."""
-    if n < 5 or n % 2 == 0:
-        raise InvalidArgument("need odd n >= 5")
+def _center_series(n: int) -> PoincarePoly:
+    """Closed-form sum at the all-ones ray: (n-3)//2 terms, (n-4)//2 for even n."""
     poly = PoincarePoly.projective(n - 3)
     for k in range(1, (n - 3) // 2 + 1):
         poly = poly + comb(n - 1, k) * (
@@ -403,16 +401,18 @@ def poincare_center(n: int) -> PoincarePoly:
     return poly
 
 
+def poincare_center(n: int) -> PoincarePoly:
+    """Closed form for the chamber at the all-ones ray, n odd."""
+    if n < 5 or n % 2 == 0:
+        raise InvalidArgument("need odd n >= 5")
+    return _center_series(n)
+
+
 def ih_poincare_center(n: int) -> PoincarePoly:
     """Intersection Poincare polynomial of the quotient at the ray, n even."""
     if n < 6 or n % 2 == 1:
         raise InvalidArgument("need even n >= 6")
-    poly = PoincarePoly.projective(n - 3)
-    for k in range(1, (n - 4) // 2 + 1):
-        poly = poly + comb(n - 1, k) * (
-            PoincarePoly.projective(n - 3 - k) - PoincarePoly.projective(k - 1)
-        )
-    return poly
+    return _center_series(n)
 
 
 # ---------------------------------------------------------------------------

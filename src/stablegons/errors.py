@@ -2,7 +2,7 @@
 
 Domain errors (bad subsets, illegal epsilon values, chamber mismatches) are
 all ValueError subclasses so callers can distinguish them from genuine
-internal failures such as a descent that did not converge.
+internal failures such as a closure that missed its residual tolerance.
 """
 
 
@@ -35,7 +35,7 @@ class InternalError(RuntimeError):
 
 
 class NonConvergence(RuntimeError):
-    """An iterative solver ran out of budget.  Carries the final residual."""
+    """A numeric routine missed its residual tolerance.  Carries the residual."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -3,9 +3,12 @@
 A polygon is stored as its unit edge directions u_1, ..., u_n on the sphere
 together with the lengths; closing it means solving sum_i r_i u_i = 0, the
 zero level of the momentum of the rotation action on the product of spheres.
-:func:`close` finds a zero by projected gradient descent with Armijo
-backtracking, which converges from a random start whenever the length vector
-lies strictly inside the polygon cone.
+:func:`close` builds a zero constructively, in the action-angle coordinates
+of a fan triangulation (Kapovich-Millson bending flows): diagonal lengths
+drawn inside their triangle-inequality intervals and a dihedral angle about
+each diagonal.  It succeeds on every length vector strictly inside the polygon
+cone, without iterating.  Hint directions are closed instead by the Mobius
+boost described below, which keeps their moduli point.
 
 The rotation gauge is fixed by :func:`canonicalize`; the marked-point picture
 enters through stereographic projection: the directions become points on the
@@ -24,6 +27,7 @@ to the sub-polygon it should shadow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -60,7 +64,6 @@ __all__ = [
     "subpolygon",
     "transport",
     "incidence",
-    "gradient",
 ]
 
 FREE_EDGE = 0  # label of the closing edge of a sub-polygon or bubble
@@ -154,31 +157,62 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _random_directions(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.normal(size=(n, 3))
-    return _unit_rows(v)
+def _fan_directions(rf: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Edge directions of a closed polygon, built in action-angle coordinates.
+
+    The fan diagonals from the first vertex p_0 have lengths d_k = |p_k|, with
+    d_1 = r_1 and d_{n-1} = r_n, and each triangle (d_{k-1}, r_k, d_k) obeys
+    the triangle inequalities.  The interval [lo_k, hi_k] of d_k from which
+    edges k+1..n can still close is propagated backward from d_{n-1}.  Going
+    forward, each d_k is drawn uniformly from it, intersected with the window
+    |d_{k-1} - r_k| .. d_{k-1} + r_k, and each triangle is turned about the
+    diagonal it shares with the last one by a uniform dihedral angle.
+    """
+    n = len(rf)
+    r = rf.tolist()
+    lo, hi = r[:], r[:]  # entry n-1 is d_{n-1} = r_n; entry 0 is unused
+    for k in range(n - 2, 0, -1):
+        lo[k] = max(lo[k + 1] - r[k], r[k] - hi[k + 1], 0.0)
+        hi[k] = hi[k + 1] + r[k]
+    t = rng.random(n).tolist()
+    angles = 2.0 * np.pi * rng.random(n)
+    # orthonormal frame: e along the current diagonal, w in the plane of the
+    # last triangle, m normal to that plane; the first bend already turns
+    # (w, m) by a uniform angle, so only the gauge of u_1 is fixed here
+    e, w, m = np.eye(3)
+    u = np.empty((n, 3))
+    u[0] = e
+    D = r[0]
+    for k, ct, st in zip(range(1, n - 1), np.cos(angles), np.sin(angles)):
+        a = max(abs(D - r[k]), lo[k + 1])
+        b = min(D + r[k], hi[k + 1])
+        d = a + t[k] * (b - a)
+        # bend the next triangle about the diagonal by its dihedral angle
+        w, m = ct * w + st * m, ct * m - st * w
+        # edge k+1 meets the diagonal at angle acos(c); forming the sine as
+        # sqrt((1 - c)(1 + c)) keeps thin triangles accurate
+        c = min(1.0, max(-1.0, ((d - D) * (d + D) - r[k] * r[k]) / (2.0 * D * r[k])))
+        s = math.sqrt((1.0 - c) * (1.0 + c))
+        u[k] = c * e + s * w
+        # the next triangle starts from the diagonal actually reached, so
+        # rounding does not carry over
+        x, y = D + r[k] * c, r[k] * s
+        D = math.hypot(x, y)
+        e, w = (x * e + y * w) / D, (x * w - y * e) / D
+    u[n - 1] = -e
+    return u
 
 
-def gradient(r: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Ambient gradient of f(u) = |sum_i r_i u_i|^2, row per direction."""
-    v = r @ u
-    return 2.0 * np.outer(r, v)
-
-
-def close(
-    r,
-    seed=None,
-    hints=None,
-    tol: Optional[float] = None,
-    max_iter: int = 100_000,
-) -> EdgeFrame:
+def close(r, seed=None, hints=None, tol: Optional[float] = None) -> EdgeFrame:
     """Close a polygon with the given side lengths.
 
-    Minimizes |sum r_i u_i|^2 over the product of spheres by projected
-    gradient steps u_i <- normalize(u_i - eta r_i v) with backtracking on eta,
-    until the closing sum has norm at most `tol` (default 1e-10).  The start
-    is drawn from `seed` unless explicit `hints` directions are given, so runs
-    are deterministic per seed.
+    Without `hints` the polygon is built, without iterating, from
+    fan-triangulation action-angle coordinates drawn from `seed`, so runs are
+    deterministic per seed.  Hint directions that close within `tol`
+    (default 1e-10) are returned as they are; others are moved by the Mobius
+    boost that balances them for r, as in :func:`transport`, so the frame
+    keeps the hint's moduli point.  A residual above `tol` raises
+    NonConvergence.
     """
     r = as_length_vector(r)
     if not r.in_cone_interior():
@@ -192,54 +226,18 @@ def close(
         u = _unit_rows(np.asarray(hints, dtype=float))
         if u.shape != (r.n, 3):
             raise InvalidArgument("hints must provide one direction per edge")
+        if np.linalg.norm(rf @ u) > tol:
+            u = _rebalance(u, rf, tol * 1e-2)
     else:
-        u = _random_directions(_rng(seed), r.n)
-
-    scale = float(rf @ rf)
-    eta = 1.0 / scale
-    v = rf @ u
-    f = float(v @ v)
-    for _ in range(max_iter):
-        if np.sqrt(f) <= tol:
-            return EdgeFrame(r, u)
-        # tangential gradient norm, for the sufficient-decrease test
-        g = 2.0 * np.outer(rf, v)
-        g_tan = g - (np.sum(g * u, axis=1, keepdims=True)) * u
-        g2 = float(np.sum(g_tan * g_tan))
-        if g2 <= 1e-300:
-            break  # stuck on a collinear critical configuration
-        accepted = False
-        for _ in range(60):
-            cand = _unit_rows(u - eta * np.outer(rf, v))
-            vc = rf @ cand
-            fc = float(vc @ vc)
-            if fc <= f - 1e-4 * eta * g2 / 2.0:
-                # refine with the minimum of the quadratic through f(0), the
-                # slope -g2/2 at 0, and f(eta); near-collinear quadrilaterals
-                # are badly conditioned and plain backtracking crawls there
-                curv = (fc - f + 0.5 * g2 * eta) / (eta * eta)
-                if curv > 0:
-                    eta_star = 0.25 * g2 / curv
-                    if eta_star > 0 and abs(eta_star - eta) > 1e-3 * eta:
-                        cand2 = _unit_rows(u - eta_star * np.outer(rf, v))
-                        v2 = rf @ cand2
-                        f2 = float(v2 @ v2)
-                        if f2 < fc:
-                            cand, vc, fc, eta = cand2, v2, f2, eta_star
-                u, v, f = cand, vc, fc
-                eta = min(eta * 2.0, 1e6 / scale)
-                accepted = True
-                break
-            eta *= 0.5
-        if not accepted:
-            break
-    res = float(np.sqrt(f))
-    if res <= tol:
-        return EdgeFrame(r, u)
-    raise NonConvergence(
-        f"closing descent stalled at residual {res:.3e} (tol {tol:.1e})",
-        residual=res,
-    )
+        u = _fan_directions(rf, _rng(seed))
+    frame = EdgeFrame(r, u)
+    res = frame.residual
+    if not res <= tol:
+        raise NonConvergence(
+            f"closed frame residual {res:.3e} above tolerance {tol:.1e}",
+            residual=res,
+        )
+    return frame
 
 
 def close_degenerate(r, classes, seed=None, tol: Optional[float] = None) -> EdgeFrame:
@@ -362,6 +360,14 @@ def angle_between(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.arctan2(np.linalg.norm(np.cross(a, b)), np.dot(a, b)))
 
 
+def _find(parent: list, i: int) -> int:
+    """Root of i in the union-find forest `parent`, halving the path."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
 def parallel_classes(frame: EdgeFrame, tol: Optional[float] = None):
     """Partition of the edge labels into parallel classes.
 
@@ -377,20 +383,13 @@ def parallel_classes(frame: EdgeFrame, tol: Optional[float] = None):
         tol = DEFAULT_TOL.angle
     n = frame.n
     parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     for i in range(n):
         for j in range(i + 1, n):
             if angle_between(frame.u[i], frame.u[j]) <= tol:
-                parent[find(i)] = find(j)
+                parent[_find(parent, i)] = _find(parent, j)
     groups = {}
     for i in range(n):
-        groups.setdefault(find(i), []).append(frame.labels[i])
+        groups.setdefault(_find(parent, i), []).append(frame.labels[i])
     return sorted(sorted(g) for g in groups.values())
 
 
@@ -574,25 +573,28 @@ def _boost_matrix(a: np.ndarray) -> np.ndarray:
     return np.cosh(s) * np.eye(2, dtype=complex) + (np.sinh(s) / s) * K
 
 
-def _rebalance(pairs: np.ndarray, weights: np.ndarray, tol: float) -> np.ndarray:
-    """Mobius boost making the weighted directions sum to zero.
+def _rebalance(u: np.ndarray, weights: np.ndarray, tol: float) -> np.ndarray:
+    """Directions moved by the Mobius boost that makes sum_i w_i u_i vanish.
 
-    Damped Newton over the three boost parameters; the balanced configuration
-    exists and is unique whenever no coincident cluster carries half the total
-    weight, which holds strictly inside a chamber.
+    Damped Newton over the three boost parameters, acting on the
+    stereographic images of u; the balanced configuration exists and is
+    unique whenever no coincident cluster carries half the total weight,
+    which holds strictly inside a chamber.  A boost preserves cross ratios,
+    so the moduli point of u is kept.
     """
+    pairs = _stereographic_pairs(u)
 
     def residual(a):
         moved = pairs @ _boost_matrix(a).T
         pts = np.array([_pair_to_sphere(p) for p in moved])
-        return weights @ pts, moved
+        return weights @ pts, pts
 
     a = np.zeros(3)
-    F, moved = residual(a)
+    F, pts = residual(a)
     target = tol * max(1.0, float(np.sum(weights)))
     for _ in range(100):
         if np.linalg.norm(F) <= target:
-            return moved
+            return _unit_rows(pts)
         J = np.empty((3, 3))
         h = 1e-6
         for k in range(3):
@@ -608,10 +610,10 @@ def _rebalance(pairs: np.ndarray, weights: np.ndarray, tol: float) -> np.ndarray
         t = 1.0
         base = float(np.linalg.norm(F))
         for _ in range(40):
-            Fc, moved_c = residual(a + t * step)
+            Fc, pts_c = residual(a + t * step)
             if float(np.linalg.norm(Fc)) < base * (1.0 - 1e-4 * t):
                 a = a + t * step
-                F, moved = Fc, moved_c
+                F, pts = Fc, pts_c
                 break
             t *= 0.5
         else:
@@ -658,11 +660,9 @@ def transport(
             "source and target closing lengths lie in different chambers; "
             "the canonical identification is only defined within one"
         )
-    pairs = _stereographic_pairs(frame.u)
     weights = np.array([float(x) for x in target.r])
-    moved = _rebalance(pairs, weights, tol.closure * 1e-2)
-    u = np.array([_pair_to_sphere(p) for p in moved])
-    out = EdgeFrame(target, _unit_rows(u), frame.labels)
+    u = _rebalance(frame.u, weights, tol.closure * 1e-2)
+    out = EdgeFrame(target, u, frame.labels)
     if out.residual > tol.closure:
         raise NonConvergence(
             f"transported frame residual {out.residual:.3e} above tolerance",

@@ -53,6 +53,7 @@ from .realize import (
     EdgeFrame,
     ModuliPoint,
     Tolerances,
+    _find,
     close,
     diagonal,
     moduli_point,
@@ -456,15 +457,8 @@ class DualCurve:
             return False
         index = {v.subset: i for i, v in enumerate(self.vertices)}
         parent = list(range(len(self.vertices)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
         for a, b in self.edges:
-            ra, rb = find(index[a]), find(index[b])
+            ra, rb = _find(parent, index[a]), _find(parent, index[b])
             if ra == rb:
                 return False
             parent[ra] = rb

@@ -14,7 +14,6 @@ from stablegons.realize import (
     close,
     close_degenerate,
     diagonal,
-    gradient,
     incidence,
     is_line_gon,
     moduli_point,
@@ -52,6 +51,27 @@ class TestClose:
             frame = close([1] * 5, seed=seed)
             assert frame.residual <= 1e-10
 
+    def test_near_boundary_closes(self):
+        # (1, 1, 1, 3 - delta) is interior for every delta > 0, however thin
+        # the polygons it allows
+        for k in range(1, 13):
+            frame = close((1, 1, 1, 3 - F(1, 10**k)), seed=0)
+            assert frame.residual <= 1e-10
+
+    def test_random_vectors_close(self):
+        rng = np.random.default_rng(2024)
+        drawn = 0
+        while drawn < 2000:
+            n = int(rng.integers(3, 41))
+            r = LengthVector([F(int(x), 1000) for x in rng.integers(1, 5001, size=n)])
+            if not r.in_cone_interior():
+                continue
+            frame = close(r, seed=drawn)
+            assert frame.residual <= 1e-10
+            assert np.allclose(np.linalg.norm(frame.u, axis=1), 1.0, rtol=0, atol=1e-12)
+            assert np.array_equal(frame.u, close(r, seed=drawn).u)
+            drawn += 1
+
     def test_boundary_vector_rejected(self):
         with pytest.raises(InvalidArgument):
             close((1, 1, 3))
@@ -61,24 +81,16 @@ class TestClose:
         b = close([1] * 6, seed=42)
         assert np.array_equal(a.u, b.u)
 
-    def test_gradient_matches_central_differences(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            n = rng.integers(4, 8)
-            r = rng.uniform(0.5, 2.0, size=n)
-            u = rng.normal(size=(n, 3))
+    def test_hint_keeps_its_moduli_point(self):
+        rng = np.random.default_rng(3)
+        r = (1, 1, 1, F(3, 2), 2)
+        for _ in range(10):
+            u = rng.normal(size=(5, 3))
             u /= np.linalg.norm(u, axis=1, keepdims=True)
-            g = gradient(r, u)
-            h = 1e-6
-            for _ in range(3):
-                i = rng.integers(0, n)
-                k = rng.integers(0, 3)
-                up, um = u.copy(), u.copy()
-                up[i, k] += h
-                um[i, k] -= h
-                f = lambda w: float(np.sum((r @ w) ** 2))
-                num = (f(up) - f(um)) / (2 * h)
-                assert abs(num - g[i, k]) <= 1e-6 * max(1.0, abs(num))
+            assert not EdgeFrame(r, u).is_closed()
+            frame = close(r, hints=u)
+            assert frame.residual <= 1e-10
+            assert pgl2_equivalent(moduli_point(EdgeFrame(r, u)), moduli_point(frame))
 
 
 class TestCanonicalize:
