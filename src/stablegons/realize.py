@@ -10,16 +10,19 @@ each diagonal.  It succeeds on every length vector strictly inside the polygon
 cone, without iterating.  Hint directions are closed instead by the Mobius
 boost described below, which keeps their moduli point.
 
-The rotation gauge is fixed by :func:`canonicalize`; the marked-point picture
-enters through stereographic projection: the directions become points on the
-Riemann sphere, defined up to Mobius transformations, and two frames represent
-the same point of the moduli space exactly when their normalized marked-point
-tuples agree (:func:`moduli_point`, :func:`pgl2_equivalent`).
+The rotation gauge is fixed by :func:`canonicalize`, which reads the frame
+in one orthonormal basis built from the first two independent directions.
+The marked-point picture enters through stereographic projection: the
+directions become points on the Riemann sphere, defined up to Mobius
+transformations, and two frames represent the same point of the moduli space
+exactly when their normalized marked-point tuples agree (:func:`moduli_point`,
+:func:`pgl2_equivalent`).
 
 :func:`transport` changes the length of the closing edge without moving the
-underlying moduli point: a Mobius "boost" is applied to the direction
-configuration and re-balanced for the new weights by a damped Newton
-iteration over the three boost parameters.  This realizes the canonical
+underlying moduli point: the directions are moved by the conformal
+automorphism of the unit ball that balances them for the new weights, the
+Douady-Earle conformal barycenter, found by Newton steps on the boost vector
+b with the Jacobian in closed form.  This realizes the canonical
 identification between polygon spaces whose length vectors share a chamber,
 and powers the incidence test :func:`incidence` that ties a bubble candidate
 to the sub-polygon it should shadow.
@@ -101,7 +104,7 @@ class EdgeFrame:
         if u.shape != (len(self.r), 3):
             raise InvalidArgument(f"direction array must be ({len(self.r)}, 3)")
         norms = np.linalg.norm(u, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
+        if not np.all(np.abs(norms - 1.0) <= 1e-12):
             raise InvalidArgument("directions must be unit vectors (within 1e-12)")
         self.u = u
         if labels is None:
@@ -223,9 +226,15 @@ def close(r, seed=None, hints=None, tol: Optional[float] = None) -> EdgeFrame:
         tol = DEFAULT_TOL.closure
     rf = np.array([float(x) for x in r.r], dtype=float)
     if hints is not None:
-        u = _unit_rows(np.asarray(hints, dtype=float))
-        if u.shape != (r.n, 3):
+        h = np.asarray(hints, dtype=float)
+        if h.shape != (r.n, 3):
             raise InvalidArgument("hints must provide one direction per edge")
+        # scaling each row by its largest entry first keeps huge and tiny
+        # finite rows from overflowing or underflowing in the norm
+        top = np.max(np.abs(h), axis=1)
+        if not np.all(np.isfinite(top) & (top > 0)):
+            raise InvalidArgument("hint directions must be finite and nonzero")
+        u = _unit_rows(h / top[:, None])
         if np.linalg.norm(rf @ u) > tol:
             u = _rebalance(u, rf, tol * 1e-2)
     else:
@@ -289,59 +298,28 @@ def close_degenerate(r, classes, seed=None, tol: Optional[float] = None) -> Edge
     return EdgeFrame(r, u)
 
 
-def _rotation_to(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Rotation matrix mapping unit vector src to unit vector dst."""
-    c = float(np.dot(src, dst))
-    axis = np.cross(src, dst)
-    s = float(np.linalg.norm(axis))
-    if s < 1e-15:
-        if c > 0:
-            return np.eye(3)
-        # opposite vectors: rotate by pi around any perpendicular axis
-        perp = np.array([1.0, 0.0, 0.0])
-        if abs(src[0]) > 0.9:
-            perp = np.array([0.0, 1.0, 0.0])
-        axis = np.cross(src, perp)
-        axis /= np.linalg.norm(axis)
-        return 2.0 * np.outer(axis, axis) - np.eye(3)
-    axis /= s
-    K = np.array(
-        [
-            [0.0, -axis[2], axis[1]],
-            [axis[2], 0.0, -axis[0]],
-            [-axis[1], axis[0], 0.0],
-        ]
-    )
-    return np.eye(3) + s * K + (1.0 - c) * (K @ K)
-
-
-def _rotation_about_x(angle: float) -> np.ndarray:
-    ca, sa = np.cos(angle), np.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, ca, -sa], [0.0, sa, ca]])
-
-
 def canonicalize(frame: EdgeFrame, tol: Optional[float] = None) -> EdgeFrame:
     """Fix the rotation gauge.
 
-    Rotates so u_1 = (1,0,0), then spins about the x-axis so the first
-    direction not (anti)parallel to u_1 lands in the z = 0 plane with positive
-    y.  Line polygons (all directions on the u_1 axis) return after the first
-    rotation alone.
+    Reads the directions in the orthonormal frame e_1 = u_1, e_2 = the unit
+    component orthogonal to u_1 of the first later direction whose component
+    exceeds `tol`, e_3 = e_1 x e_2.  So u_1 becomes (1,0,0) and that
+    direction lands in the z = 0 plane with positive y.  For a line polygon
+    (all directions on the u_1 axis) any e_2 orthogonal to u_1 is taken.
     """
     if tol is None:
         tol = DEFAULT_TOL.angle
-    x = np.array([1.0, 0.0, 0.0])
-    R = _rotation_to(frame.u[0], x)
-    u = frame.u @ R.T
-    for k in range(1, frame.n):
-        perp = u[k].copy()
-        perp[0] = 0.0
-        norm = float(np.linalg.norm(perp))
-        if norm > tol:
-            phi = float(np.arctan2(perp[2], perp[1]))
-            u = u @ _rotation_about_x(-phi).T
-            break
-    return EdgeFrame(frame.lengths, _unit_rows(u), frame.labels)
+    e1 = frame.u[0] / np.linalg.norm(frame.u[0])
+    perp = frame.u[1:] - np.outer(frame.u[1:] @ e1, e1)
+    norms = np.linalg.norm(perp, axis=1)
+    far = np.flatnonzero(norms > tol)
+    if far.size:
+        e2 = perp[far[0]] / norms[far[0]]
+    else:
+        e2 = np.cross(e1, np.eye(3)[np.argmin(np.abs(e1))])
+        e2 /= np.linalg.norm(e2)
+    basis = np.array([e1, e2, np.cross(e1, e2)])
+    return EdgeFrame(frame.lengths, _unit_rows(frame.u @ basis.T), frame.labels)
 
 
 def diagonal(frame: EdgeFrame, J) -> tuple:
@@ -416,21 +394,13 @@ def _stereographic_pairs(u: np.ndarray) -> np.ndarray:
     Uses whichever of the two equivalent charts (x+iy : 1-z) ~ (1+z : x-iy)
     is better conditioned per point, so the pole itself is exact.
     """
-    out = np.empty((len(u), 2), dtype=complex)
-    for i, (x, y, z) in enumerate(u):
-        if 1.0 - z >= 1.0 + z:
-            out[i] = (complex(x, y), complex(1.0 - z))
-        else:
-            out[i] = (complex(1.0 + z), complex(x, -y))
-        out[i] /= np.linalg.norm(out[i])
-    return out
-
-
-def _pair_to_sphere(p: np.ndarray) -> np.ndarray:
-    a, b = p
-    N = abs(a) ** 2 + abs(b) ** 2
-    w = a * np.conj(b)
-    return np.array([2.0 * w.real, 2.0 * w.imag, abs(a) ** 2 - abs(b) ** 2]) / N
+    x, y, z = u.T
+    south = 1.0 - z >= 1.0 + z
+    out = np.stack(
+        [np.where(south, x + 1j * y, 1.0 + z), np.where(south, 1.0 - z, x - 1j * y)],
+        axis=1,
+    )
+    return out / np.linalg.norm(out, axis=1, keepdims=True)
 
 
 def _chordal(p, q) -> float:
@@ -558,62 +528,60 @@ def subpolygon(frame: EdgeFrame, J) -> EdgeFrame:
 # ---------------------------------------------------------------------------
 
 
-def _boost_matrix(a: np.ndarray) -> np.ndarray:
-    """exp of the traceless Hermitian matrix with parameter vector a in R^3."""
-    K = 0.5 * np.array(
-        [
-            [a[2], a[0] - 1j * a[1]],
-            [a[0] + 1j * a[1], -a[2]],
-        ],
-        dtype=complex,
-    )
-    s = 0.5 * float(np.linalg.norm(a))
-    if s < 1e-30:
-        return np.eye(2, dtype=complex) + K
-    return np.cosh(s) * np.eye(2, dtype=complex) + (np.sinh(s) / s) * K
+def _boost(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unit rows x moved by the conformal automorphism of the ball taking 0 to b.
+
+    On the sphere it acts as x -> ((1-|b|^2) x + 2(1+b.x) b) / (1+2b.x+|b|^2),
+    a Mobius transformation for every |b| < 1, so cross ratios are kept.
+    """
+    bx = x @ b
+    bb = b @ b
+    return ((1.0 - bb) * x + 2.0 * (1.0 + bx)[:, None] * b) / (1.0 + 2.0 * bx + bb)[:, None]
+
+
+def _balance_jacobian(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Derivative at b = 0 of b -> sum_i w_i _boost(x, b)_i.
+
+    J = 2 (sum_i w_i I - sum_i w_i x_i x_i^T), positive definite unless every
+    point lies on one axis.
+    """
+    return 2.0 * (np.sum(weights) * np.eye(3) - (weights[:, None] * x).T @ x)
 
 
 def _rebalance(u: np.ndarray, weights: np.ndarray, tol: float) -> np.ndarray:
     """Directions moved by the Mobius boost that makes sum_i w_i u_i vanish.
 
-    Damped Newton over the three boost parameters, acting on the
-    stereographic images of u; the balanced configuration exists and is
-    unique whenever no coincident cluster carries half the total weight,
-    which holds strictly inside a chamber.  A boost preserves cross ratios,
-    so the moduli point of u is kept.
+    Newton's method on the Douady-Earle conformal barycenter: each step
+    solves J b = -F at the current points, caps |b| at 1/2, halves b until
+    the residual |F| drops, and moves the points by :func:`_boost`.  The
+    balanced configuration exists and is unique up to rotation whenever no
+    coincident cluster carries half the total weight, which holds strictly
+    inside a chamber.  Points on one axis (J singular) or a step that finds
+    no decrease raise NonConvergence with the residual reached.
     """
-    pairs = _stereographic_pairs(u)
-
-    def residual(a):
-        moved = pairs @ _boost_matrix(a).T
-        pts = np.array([_pair_to_sphere(p) for p in moved])
-        return weights @ pts, pts
-
-    a = np.zeros(3)
-    F, pts = residual(a)
-    target = tol * max(1.0, float(np.sum(weights)))
+    x = u
+    F = weights @ x
+    total = float(np.sum(weights))
+    target = tol * max(1.0, total)
     for _ in range(100):
-        if np.linalg.norm(F) <= target:
-            return _unit_rows(pts)
-        J = np.empty((3, 3))
-        h = 1e-6
-        for k in range(3):
-            da = np.zeros(3)
-            da[k] = h
-            Fp, _ = residual(a + da)
-            Fm, _ = residual(a - da)
-            J[:, k] = (Fp - Fm) / (2 * h)
-        try:
-            step = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            step = -J.T @ F
-        t = 1.0
         base = float(np.linalg.norm(F))
+        if base <= target:
+            return x
+        J = _balance_jacobian(x, weights)
+        # det(J) / (2 sum w)^3 is the product of J's scaled eigenvalues, each
+        # in [0, 1]; below 1e-10 the points lie on one axis to within about
+        # 1e-5 rad, as a line hint does from the start and as the rest of a
+        # hint with a half-weight cluster does once pushed to its antipode
+        if np.linalg.det(J) <= 1e-10 * (2.0 * total) ** 3:
+            break
+        b = np.linalg.solve(J, -F)
+        b *= min(1.0, 0.5 / float(np.linalg.norm(b)))
+        t = 1.0
         for _ in range(40):
-            Fc, pts_c = residual(a + t * step)
-            if float(np.linalg.norm(Fc)) < base * (1.0 - 1e-4 * t):
-                a = a + t * step
-                F, pts = Fc, pts_c
+            moved = _unit_rows(_boost(x, t * b))
+            Fm = weights @ moved
+            if float(np.linalg.norm(Fm)) < base * (1.0 - 1e-4 * t):
+                x, F = moved, Fm
                 break
             t *= 0.5
         else:

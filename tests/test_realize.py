@@ -7,9 +7,12 @@ from stablegons.errors import (
     ChamberMismatch,
     InvalidArgument,
     NoModuli,
+    NonConvergence,
 )
 from stablegons.realize import (
     EdgeFrame,
+    _balance_jacobian,
+    _boost,
     canonicalize,
     close,
     close_degenerate,
@@ -39,6 +42,12 @@ def random_rotation(rng):
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ]
     )
+
+
+class TestEdgeFrame:
+    def test_nan_direction_rejected(self):
+        with pytest.raises(InvalidArgument):
+            EdgeFrame((1, 1, 1), [[np.nan, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 class TestClose:
@@ -83,14 +92,36 @@ class TestClose:
 
     def test_hint_keeps_its_moduli_point(self):
         rng = np.random.default_rng(3)
-        r = (1, 1, 1, F(3, 2), 2)
-        for _ in range(10):
-            u = rng.normal(size=(5, 3))
+        lengths = [(1, 1, 1, F(3, 2), 2)] * 10
+        while len(lengths) < 210:
+            n = int(rng.integers(4, 31))
+            r = LengthVector([F(int(x), 1000) for x in rng.integers(1, 5001, size=n)])
+            if r.in_cone_interior():
+                lengths.append(r)
+        for r in lengths:
+            u = rng.normal(size=(len(r), 3))
             u /= np.linalg.norm(u, axis=1, keepdims=True)
             assert not EdgeFrame(r, u).is_closed()
             frame = close(r, hints=u)
             assert frame.residual <= 1e-10
             assert pgl2_equivalent(moduli_point(EdgeFrame(r, u)), moduli_point(frame))
+
+    def test_bad_hints_rejected(self):
+        for row in ([0, 0, 0], [np.nan, 1, 0], [np.inf, 0, 0], [0, -np.inf, 1]):
+            with pytest.raises(InvalidArgument):
+                close((1, 1, 1, 1), hints=[[1, 0, 0], [0, 1, 0], [-1, 0, 0], row])
+
+    def test_degenerate_hints_fail_typed(self):
+        # no boost balances a hint with a coincident cluster of half the
+        # weight, nor one on a line
+        cases = [
+            ((1, 1, 1, 1), [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            ((1, 1, 1, 2), [[1, 0, 0], [1, 0, 0], [-1, 0, 0], [1, 0, 0]]),
+        ]
+        for r, hints in cases:
+            with pytest.raises(NonConvergence) as info:
+                close(r, hints=hints)
+            assert np.isfinite(info.value.residual)
 
 
 class TestCanonicalize:
@@ -212,6 +243,32 @@ class TestTransport:
         frame = close([1, 1, 1, F(3, 2)], seed=21)
         moved = transport(frame, F(6, 5))
         assert pgl2_equivalent(moduli_point(frame), moduli_point(moved), tol=1e-8)
+        rng = np.random.default_rng(12)
+        moved_any = 0
+        for seed in range(200):
+            n = 5 + seed % 8
+            r = [F(int(x), 100) for x in rng.integers(100, 200, size=n)]
+            frame = close(r, seed=seed)
+            try:
+                moved = transport(frame, r[-1] * F(int(rng.integers(90, 110)), 100))
+            except ChamberMismatch:
+                continue
+            assert moved.residual <= 1e-10
+            assert pgl2_equivalent(moduli_point(frame), moduli_point(moved))
+            moved_any += 1
+        assert moved_any >= 50
+
+    def test_balance_jacobian_matches_central_differences(self):
+        rng = np.random.default_rng(8)
+        for n in range(3, 12):
+            x = rng.normal(size=(n, 3))
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+            w = rng.uniform(0.5, 2.0, size=n)
+            h = 1e-6
+            fd = np.empty((3, 3))
+            for k, e in enumerate(np.eye(3)):
+                fd[:, k] = (w @ _boost(x, h * e) - w @ _boost(x, -h * e)) / (2 * h)
+            assert np.allclose(_balance_jacobian(x, w), fd, rtol=0, atol=1e-8)
 
     def test_chamber_mismatch_rejected(self):
         frame = close([1, 1, 1, F(3, 2)], seed=4)
