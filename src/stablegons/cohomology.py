@@ -12,16 +12,19 @@ Poincare polynomials are handled as integer polynomials in t^2 and double as
 point-count (E-) polynomials, which is what makes them additive over strata.
 Three routes are implemented:
 
-* :func:`poincare_wall_crossing` walks an exact segment from a reference
-  chamber whose space is projective space, applying the surgery that one wall
-  crossing performs on the Betti numbers;
+* :func:`poincare_wall_crossing` adds to the polynomial of a reference
+  chamber, whose space is projective space, the surgery term of every wall
+  on which r lies on the other side, read in one pass over the integer
+  subset-sum table of r;
 * :func:`poincare_center` and :func:`ih_poincare_center` evaluate the closed
   forms for the chamber(s) at the all-ones ray (the even case is the
   intersection-cohomology polynomial of the singular quotient);
 * :func:`stable_betti` sums E-polynomials of open strata over all bubble
   trees, giving the Betti numbers of the stable-polygon compactification.
   The answer is independent of the chamber and of the slacks, which makes a
-  sharp cross-check.
+  sharp cross-check.  Open-stratum E-polynomials are memoized once per
+  process on the chamber class of the component vector, so the work follows
+  the number of chambers met rather than the number of distinct lengths.
 """
 
 from __future__ import annotations
@@ -29,14 +32,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 from typing import Optional, Sequence
 
 from .chambers import (
     EpsilonAssignment,
     LengthVector,
     as_length_vector,
-    is_favorable,
     line_gons,
     _canonical_walls,
     _light_sides,
@@ -313,82 +315,61 @@ def schedule(r, eps: Optional[EpsilonAssignment] = None):
 # ---------------------------------------------------------------------------
 
 
-def _favorable_reference(n: int) -> LengthVector:
-    # (1, ..., 1, n-2) dominates in its last edge and has all margins odd,
-    # hence off every wall
-    return LengthVector([1] * (n - 1) + [n - 2])
+def _heavy_sides(sums: list, total: int) -> bytes:
+    """1 for each subset sum s with 2 s > total, else 0, in the order of `sums`.
 
-
-def _crossings(r0: LengthVector, r1: LengthVector):
-    """Wall crossings of the segment r(u) = (1-u) r0 + u r1, 0 <= u <= 1.
-
-    Returns (ok, events) where events are (u, J, sign_after) for canonical J;
-    ok is False when r0 lies on a wall or two walls are hit at the same
-    parameter, in which case the caller should perturb the reference end.
-    Signs are compared on the integer subset-sum tables; u is formed only for
-    walls whose sign flips.
+    Raises when some 2 s equals `total`: the vector lies on a wall.
     """
-    s0, s1 = r0.subset_sums(), r1.subset_sums()
-    events = []
-    seen = set()
-    for w, m in zip(*_canonical_walls(r0.n)):
-        # the margins are d0 / r0.den and d1 / r1.den
-        d0 = 2 * s0[m] - s0[-1]
-        d1 = 2 * s1[m] - s1[-1]
-        if d1 == 0:
-            raise InvalidArgument("segment endpoint lies on a wall")
-        if d0 == 0:
-            return False, []
-        if (d0 > 0) == (d1 > 0):
-            continue
-        u = Fraction(d0 * r1.den, d0 * r1.den - d1 * r0.den)
-        if u in seen:
-            return False, []
-        seen.add(u)
-        events.append((u, w.J, 1 if d1 > 0 else -1))
-    events.sort()
-    return True, events
+    half = total // 2
+    if total % 2 == 0 and half in sums:
+        raise InvalidArgument("r lies on a wall; its space is singular")
+    return bytes(map(half.__lt__, sums))
+
+
+def _wall_crossing_count(heavy: bytes, n: int) -> PoincarePoly:
+    """Wall-crossing polynomial of an n-gon from its :func:`_heavy_sides`.
+
+    `heavy` is indexed by bitmask (bit j-1 for label j) and needs the masks
+    that avoid label n.  The reference (1, ..., 1, n-2) has J on the lighter
+    side of every canonical wall (2|J| < 2n - 3 for |J| <= n-2, since n is not
+    in J), so the walls whose sign differs between it and r are those where J
+    is heavy at r, each crossed into J's heavy side.
+    """
+    crossed = [0] * (n - 1)  # net crossings, by |J|
+    for w, m in zip(*_canonical_walls(n)):
+        if heavy[m]:
+            crossed[len(w.J)] += 1
+    poly = PoincarePoly.projective(n - 3)
+    for size, count in enumerate(crossed):
+        if count:
+            gain = PoincarePoly.projective(size - 2) - PoincarePoly.projective(
+                n - size - 2
+            )
+            poly = poly + count * gain
+    return poly
 
 
 def poincare_wall_crossing(r) -> PoincarePoly:
     """Poincare polynomial of the smooth polygon space of r by wall crossing.
 
-    Starts from a reference vector whose space is P^(n-3) and walks a straight
-    segment to r.  Crossing the wall of J into the side where J is the lighter
+    Starts from the reference (1, ..., 1, n-2), whose space is P^(n-3), and
+    crosses to r.  Crossing the wall of J into the side where J is the lighter
     half replaces fibers: the polynomial gains P^(|J^c|-2) - P^(|J|-2), and
-    loses it when crossing the other way.  The reference endpoint is nudged
-    along a powers-of-two direction until all crossing parameters are
-    distinct, so walls are met one at a time.  (A coordinate-linear nudge like
-    (1, 2, ..., n) cannot do this job: two same-size walls whose index sums
-    agree, such as {1,2,3,6} and {1,2,4,5}, would be hit simultaneously for
-    every nudge size.)
+    loses it when crossing the other way.  Each term depends only on J and on
+    the side it enters, so crossing a wall and crossing back cancel, and any
+    path from the reference sums to the same polynomial: P^(n-3) plus one
+    term for every wall on which r and the reference differ in sign.  The
+    order of the crossings, and whether a path meets two walls at one point,
+    cannot change that sum, so it is evaluated in one pass over the integer
+    subset-sum table of r without choosing a path.
     """
     r = as_length_vector(r)
     if r.n < 4:
         raise InvalidArgument("need n >= 4")
     if not r.in_cone_interior():
         raise InvalidArgument("r must lie in the interior of the polygon cone")
-    if line_gons(r):
-        raise InvalidArgument("r lies on a wall; its space is singular")
-    n = r.n
-    base = _favorable_reference(n)
-    step = LengthVector(Fraction(2 ** (i - 1), n**4 * 2**n) for i in range(1, n + 1))
-    for k in range(0, 4096):
-        r0 = LengthVector(b + k * s for b, s in zip(base.r, step.r))
-        if not is_favorable(r0, n):
-            continue
-        ok, events = _crossings(r0, r)
-        if ok:
-            break
-    else:
-        raise InvalidArgument("could not find a generic segment to r")
-    poly = PoincarePoly.projective(n - 3)
-    for _, J, sign_after in events:
-        gain = PoincarePoly.projective(len(J) - 2) - PoincarePoly.projective(
-            n - len(J) - 2
-        )
-        poly = poly + sign_after * gain
-    return poly
+    sums = r.subset_sums()
+    return _wall_crossing_count(_heavy_sides(sums, sums[-1]), r.n)
 
 
 def _center_series(n: int) -> PoincarePoly:
@@ -420,73 +401,74 @@ def ih_poincare_center(n: int) -> PoincarePoly:
 # ---------------------------------------------------------------------------
 
 
-def _normalize_multiset(values) -> tuple:
-    """Scale a multiset of positive rationals or ints to coprime integers."""
-    denom = 1
-    for v in values:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = sorted(int(v * denom) for v in values)
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    return tuple(v // g for v in ints)
+# Open-stratum E-polynomials by chamber class, shared by every call in the
+# process.  An entry depends on its class alone and PoincarePoly is immutable,
+# so no call can see state another call left behind; the memo holds at most
+# one entry per class of vectors with at most n entries, for the largest n
+# summed so far.
+_E_OPEN: dict = {}
 
 
 class _BettiEngine:
-    """Memoized E-polynomial bookkeeping over one (r, eps) input."""
+    """E-polynomial bookkeeping over one (r, eps) input.
+
+    A component vector is a key: a sequence of positive integers, its lengths
+    over a common denominator.  The E-polynomial of its open stratum is
+    constant on the key's chamber class: the length of the key together with
+    the sign of every subset sum of its sorted values against half the
+    perimeter, held as the :func:`_heavy_sides` of the subsets that avoid the
+    largest value (the other half are their complements).  The class ignores
+    scale, so keys need no normalization, and keys from different vectors,
+    slacks and calls share one entry in `_E_OPEN`; a class missing there is
+    computed once, from the wall count of the class itself.  `bubble_sum`
+    stays per call and keyed on J: the closing edges of its children depend
+    on the slacks, and sharing it across calls would assume the independence
+    the sum is there to check.
+    """
 
     def __init__(self, r: LengthVector, eps: EpsilonAssignment):
         self.r = r
         self.eps = eps
         self.n = r.n
-        self._closed = {}
-        self._open = {}
         self._bubble = {}
 
-    # E-polynomial of the full polygon space of an off-wall length multiset
-    def e_closed(self, key: tuple) -> PoincarePoly:
-        if key not in self._closed:
-            if len(key) == 3:
-                poly = PoincarePoly.one()
-            else:
-                poly = poincare_wall_crossing(LengthVector(key))
-            self._closed[key] = poly
-        return self._closed[key]
-
-    # E-polynomial of the open (no parallel edges) part: subtract every
-    # nonempty open stratum given by a coarser partition
-    def e_open(self, key: tuple) -> PoincarePoly:
-        if key not in self._open:
-            poly = self.e_closed(key)
-            k = len(key)
-            total = sum(key)
+    # E-polynomial of the open (no parallel edges) part: the closed space
+    # minus every nonempty open stratum given by a coarser partition
+    def e_open(self, key: Sequence[int]) -> PoincarePoly:
+        vals = sorted(key)
+        sums = [0]  # over the subsets that avoid the largest value
+        for v in vals[:-1]:
+            sums += [s + v for s in sums]
+        total = sums[-1] + vals[-1]
+        cls = _heavy_sides(sums, total)
+        poly = _E_OPEN.get(cls)
+        if poly is None:
+            k = len(vals)
+            poly = PoincarePoly.one() if k == 3 else _wall_crossing_count(cls, k)
             for blocks in set_partitions(range(k)):
                 if len(blocks) == k or len(blocks) < 3:
                     continue
-                sums = [sum(key[i] for i in b) for b in blocks]
-                if 2 * max(sums) < total:
-                    poly = poly - self.e_open(_normalize_multiset(sums))
-            self._open[key] = poly
-        return self._open[key]
+                block_sums = [sum(vals[i] for i in b) for b in blocks]
+                if 2 * max(block_sums) < total:
+                    poly = poly - self.e_open(block_sums)
+            _E_OPEN[cls] = poly
+        return poly
 
-    def component_vector(self, members: Sequence[frozenset], ground, last=None):
-        """Length multiset of one bubble-tree component, times `r.den`.
-
-        `members` are the collapsed children, `ground` the loose labels, and
-        `last` the exact length of the closing edge times `r.den`, for
-        non-root components.
-        """
-        vals = _block_sums(self.r, members) + [self.r.ints[j - 1] for j in ground]
-        if last is not None:
-            vals.append(last)
-        return vals
+    def component_vector(self, members: Sequence[frozenset], ground):
+        """Lengths of the collapsed children `members` and the loose labels
+        `ground` of one bubble-tree component, times `r.den`."""
+        return _block_sums(self.r, members) + [self.r.ints[j - 1] for j in ground]
 
     def bubble_sum(self, J: frozenset) -> PoincarePoly:
         """Sum over all bubble trees rooted at J of their E-polynomial product."""
         if J not in self._bubble:
             ints = self.r.ints
-            sum_J = sum(ints[j - 1] for j in J)
-            last = sum_J - self.eps.get(J) * self.r.den
+            # keys are integers and classes ignore scale: this bubble's
+            # lengths are taken times q * r.den, q the slack's denominator
+            slack = self.eps.get(J) * self.r.den
+            q = slack.denominator
+            sum_J = q * sum(ints[j - 1] for j in J)
+            last = sum_J - slack.numerator  # the closing edge
             total = sum_J + last
             candidates = [
                 frozenset(c)
@@ -494,16 +476,17 @@ class _BettiEngine:
                 for c in itertools.combinations(sorted(J), k)
                 # the collapsed child must stay strictly short of half the
                 # bubble perimeter or the component vector leaves the cone
-                if 2 * sum(ints[j - 1] for j in c) < total
+                if 2 * q * sum(ints[j - 1] for j in c) < total
             ]
             acc = PoincarePoly()
             for family in _disjoint_families(candidates):
                 covered = set().union(*family) if family else set()
                 loose = [j for j in sorted(J) if j not in covered]
-                vals = self.component_vector(family, loose, last)
+                vals = [q * v for v in self.component_vector(family, loose)]
+                vals.append(last)
                 if 2 * max(vals) >= sum(vals):
                     continue
-                term = self.e_open(_normalize_multiset(vals))
+                term = self.e_open(vals)
                 for child in family:
                     term = term * self.bubble_sum(child)
                 acc = acc + term
@@ -521,7 +504,7 @@ class _BettiEngine:
             vals = self.component_vector(family, loose)
             if 2 * max(vals) >= sum(vals):
                 continue
-            term = self.e_open(_normalize_multiset(vals))
+            term = self.e_open(vals)
             for child in family:
                 term = term * self.bubble_sum(child)
             acc = acc + term

@@ -1,9 +1,18 @@
+import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from stablegons.chambers import EpsilonAssignment, LengthVector, central_base, classify
+from stablegons.chambers import (
+    EpsilonAssignment,
+    LengthVector,
+    central_base,
+    classify,
+    line_gons,
+    relevant_subsets,
+)
 from stablegons.cohomology import (
     PoincarePoly,
     ih_poincare_center,
@@ -41,6 +50,60 @@ def off_wall_random(rng, n):
         rep = classify(r)
         if rep.in_cone_interior and rep.smooth:
             return r
+
+
+def off_wall_spread(rng, n):
+    """Interior off-wall integer vector; the spread of its entries is drawn too,
+    so that chambers near the favorable and the central one both occur."""
+    hi = rng.choice((3, 30, 3000))
+    while True:
+        r = LengthVector([rng.randint(1, hi) for _ in range(n)])
+        if r.in_cone_interior() and not line_gons(r):
+            return r
+
+
+def short_subset_poincare(r):
+    """Hausmann-Knutson: with m a longest edge, the sum over short S containing
+    m of (t^(2(|S|-1)) - t^(2(n-1-|S|))) / (1 - t^2)."""
+    r = list(r)
+    n, total = len(r), sum(r)
+    m = r.index(max(r))
+    coeffs = [0] * (n - 2)
+    for size in range(1, n):
+        for S in itertools.combinations(range(n), size):
+            if m in S and 2 * sum(r[i] for i in S) < total:
+                a, b = size - 1, n - 1 - size
+                for i in range(min(a, b), max(a, b)):
+                    coeffs[i] += 1 if a < b else -1
+    return PoincarePoly(coeffs)
+
+
+def keel(n):
+    """Keel's recursion for the Poincare polynomial of M_{0,n}-bar: P_3 = 1 and
+    P_{m+1} = (1 + q) P_m + (q/2) sum_{j=2}^{m-2} C(m, j) P_{j+1} P_{m-j+1}."""
+    if n == 3:
+        return PoincarePoly.one()
+    m = n - 1
+    acc = PoincarePoly()
+    for j in range(2, m - 1):
+        acc = acc + comb(m, j) * (keel(j + 1) * keel(m - j + 1))
+    assert all(c % 2 == 0 for c in acc.coeffs)
+    half = PoincarePoly([0] + [c // 2 for c in acc.coeffs])
+    return PoincarePoly([1, 1]) * keel(m) + half
+
+
+def random_legal_eps(rng, r):
+    """A default slack and explicit slacks for about half the relevant J,
+    each a random point strictly inside its legal range (0, 2 min_J r_j)."""
+    lo = 2 * min(r.r)
+    eps = {
+        J: F(rng.randint(1, 999), 1000) * 2 * min(r.r[j - 1] for j in J)
+        for J in relevant_subsets(r, 2)
+        if rng.random() < 0.5
+    }
+    assignment = EpsilonAssignment(eps, default=F(rng.randint(1, 999), 1000) * lo)
+    assert assignment.legal_for(r)
+    return assignment
 
 
 class TestPoincarePoly:
@@ -169,6 +232,23 @@ class TestWallCrossing:
         assert b == a + gain
         assert b - gain == a
 
+    def test_simultaneous_crossings_are_counted(self):
+        # walls {3,4,5,6,8} and {1,2,3,5,7,8} keep a 5:3 margin ratio at this
+        # r, at the favorable reference and along every powers-of-two nudge
+        # of it, so no straight segment from there meets them one at a time
+        r = (
+            F(997, 500), F(261, 200), F(759, 500), F(279, 125), F(2141, 1000),
+            F(1473, 500), F(1319, 1000), F(254, 125), F(3451, 1000),
+        )
+        assert not line_gons(r)
+        assert poincare_wall_crossing(r) == short_subset_poincare(r)
+
+    def test_matches_short_subset_formula(self):
+        rng = random.Random(20261)
+        for i in range(320):
+            r = off_wall_spread(rng, 4 + i % 8)
+            assert poincare_wall_crossing(r) == short_subset_poincare(r), r
+
     def test_quadrilateral_always_a_line(self):
         rng = random.Random(9)
         for _ in range(10):
@@ -215,6 +295,13 @@ class TestStableBetti:
     def test_euler_characteristics(self):
         assert stable_betti((1, 1, 1, F(3, 2))).at_one() == 2
         assert stable_betti([1] * 5).at_one() == 7
+
+    def test_keel_at_random_chambers_and_slacks(self):
+        rng = random.Random(20262)
+        for n, draws in ((5, 8), (6, 6), (7, 4), (8, 2)):
+            for _ in range(draws):
+                r = off_wall_spread(rng, n)
+                assert stable_betti(r, random_legal_eps(rng, r)) == keel(n), r
 
     def test_open_part_of_pentagon(self):
         # E of the locus with no parallel edges: t^4 - 5 t^2 + 6
