@@ -104,12 +104,15 @@ def param_contains(p: ParamPoint, base: Optional[LengthVector] = None) -> bool:
     """
     if not central_contains(p.r, base):
         return False
+    ints, den = p.r.ints, p.r.den
     for J in relevant_subsets(p.r, 3):
         try:
             e = p.eps.get(J)
         except InvalidArgument:
             return False
-        if not 0 < e < 2 * min(p.r.r[j - 1] for j in J):
+        # e < 2 min_J r_j, with r_j = ints[j - 1] / den, cleared of denominators
+        bound = 2 * min(ints[j - 1] for j in J)
+        if not 0 < e.numerator or not e.numerator * den < bound * e.denominator:
             return False
     return True
 
@@ -144,8 +147,9 @@ def param_sample(n: int, seed: int = 0) -> ParamPoint:
         raise InternalError("sampler left the central chamber")
     eps = {}
     for J in relevant_subsets(r, 3):
-        hi = 2 * min(r.r[j - 1] for j in J)
-        eps[J] = hi * Fraction(rng.randint(1, 63), 64)
+        # 2 min_J r_j times k/64, formed from the integer lengths over r.den
+        bound = 2 * min(r.ints[j - 1] for j in J)
+        eps[J] = Fraction(bound * rng.randint(1, 63), 64 * r.den)
     point = ParamPoint(r=r, eps=EpsilonAssignment(eps))
     if n + len(eps) != param_dim(n):
         raise InternalError("dimension bookkeeping failed")

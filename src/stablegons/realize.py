@@ -236,7 +236,7 @@ def close(r, seed=None, hints=None, tol: Optional[float] = None) -> EdgeFrame:
             raise InvalidArgument("hint directions must be finite and nonzero")
         u = _unit_rows(h / top[:, None])
         if np.linalg.norm(rf @ u) > tol:
-            u = _rebalance(u, rf, tol * 1e-2)
+            u = _rebalance(u, rf, tol)
     else:
         u = _fan_directions(rf, _rng(seed))
     frame = EdgeFrame(r, u)
@@ -334,8 +334,17 @@ def diagonal(frame: EdgeFrame, J) -> tuple:
     return d, float(np.linalg.norm(d))
 
 
-def angle_between(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.arctan2(np.linalg.norm(np.cross(a, b)), np.dot(a, b)))
+def _pair_angles(u: np.ndarray) -> np.ndarray:
+    """The n x n matrix of angles arctan2(|u_i x u_j|, u_i . u_j) between rows.
+
+    The arctan2 form stays accurate for nearly parallel and nearly opposite
+    rows.  One broadcast cross product serves every pair; it forms the
+    products and differences of np.cross without that function's per-call
+    axis handling, which costs more than the arithmetic for a few dozen rows.
+    """
+    a, b = u[:, [1, 2, 0]], u[:, [2, 0, 1]]
+    cross = a[:, None] * b[None] - b[:, None] * a[None]
+    return np.arctan2(np.linalg.norm(cross, axis=-1), u @ u.T)
 
 
 def _find(parent: list, i: int) -> int:
@@ -346,12 +355,34 @@ def _find(parent: list, i: int) -> int:
     return i
 
 
+def _angle_groups(angles: np.ndarray, tol: float) -> list:
+    """Row indices grouped where pairwise angles are at most tol.
+
+    The relation is closed transitively with the union-find :func:`_find`.
+    """
+    n = len(angles)
+    parent = list(range(n))
+    for i, j in np.argwhere(np.triu(angles <= tol, 1)).tolist():
+        parent[_find(parent, i)] = _find(parent, j)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(_find(parent, i), []).append(i)
+    return list(groups.values())
+
+
+def _on_one_axis(angles: np.ndarray, tol: float) -> bool:
+    """Is every row within tol of the first row or of its opposite?"""
+    a = angles[0]
+    return bool(np.all(np.minimum(a, np.pi - a) <= tol))
+
+
 def parallel_classes(frame: EdgeFrame, tol: Optional[float] = None):
     """Partition of the edge labels into parallel classes.
 
     Edges are grouped when their directions agree within `tol` radians;
     opposite directions are never grouped.  The relation is closed
-    transitively, so near-chains collapse into one class.
+    transitively, so near-chains collapse into one class.  Every pairwise
+    angle is read from one angle matrix per call.
 
     Coupling with diagonal lengths: a class of edges spread over at most
     theta radians loses at most sum_J r_j * theta^2 / 8 of diagonal length,
@@ -359,28 +390,15 @@ def parallel_classes(frame: EdgeFrame, tol: Optional[float] = None):
     """
     if tol is None:
         tol = DEFAULT_TOL.angle
-    n = frame.n
-    parent = list(range(n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if angle_between(frame.u[i], frame.u[j]) <= tol:
-                parent[_find(parent, i)] = _find(parent, j)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(_find(parent, i), []).append(frame.labels[i])
-    return sorted(sorted(g) for g in groups.values())
+    groups = _angle_groups(_pair_angles(frame.u), tol)
+    return sorted(sorted(frame.labels[i] for i in g) for g in groups)
 
 
 def is_line_gon(frame: EdgeFrame, tol: Optional[float] = None) -> bool:
     """Do all edges lie on one line (each parallel or opposite to the first)?"""
     if tol is None:
         tol = DEFAULT_TOL.angle
-    axis = frame.u[0]
-    for row in frame.u[1:]:
-        a = angle_between(axis, row)
-        if min(a, np.pi - a) > tol:
-            return False
-    return True
+    return _on_one_axis(_pair_angles(frame.u), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -449,18 +467,21 @@ class ModuliPoint:
 def moduli_point(frame: EdgeFrame, tol: Optional[float] = None) -> ModuliPoint:
     """The marked-point configuration of a closed frame, Mobius-normalized.
 
-    Needs at least three pairwise distinct directions; line polygons have no
-    marked-point moduli and are rejected.
+    The anchors are the first three directions, in edge order, that are
+    pairwise more than `tol` radians apart, found by one greedy scan over one
+    angle matrix.  Needs at least three such directions; line polygons have
+    no marked-point moduli and are rejected.
     """
     if tol is None:
         tol = DEFAULT_TOL.angle
     frame = canonicalize(frame, tol)
+    apart = (_pair_angles(frame.u) > tol).tolist()
     anchors = []
-    for i in range(frame.n):
-        if all(angle_between(frame.u[i], frame.u[j]) > tol for j in anchors):
+    for i, row in enumerate(apart):
+        if all(row[j] for j in anchors):
             anchors.append(i)
-        if len(anchors) == 3:
-            break
+            if len(anchors) == 3:
+                break
     if len(anchors) < 3:
         raise NoModuli(
             "fewer than three distinct directions: no marked-point moduli"
@@ -553,26 +574,41 @@ def _rebalance(u: np.ndarray, weights: np.ndarray, tol: float) -> np.ndarray:
 
     Newton's method on the Douady-Earle conformal barycenter: each step
     solves J b = -F at the current points, caps |b| at 1/2, halves b until
-    the residual |F| drops, and moves the points by :func:`_boost`.  The
-    balanced configuration exists and is unique up to rotation whenever no
-    coincident cluster carries half the total weight, which holds strictly
-    inside a chamber.  Points on one axis (J singular) or a step that finds
-    no decrease raise NonConvergence with the residual reached.
+    the residual |F| drops, and moves the points by :func:`_boost`.  It stops
+    at 1e-2 `tol` per unit of total weight, never above `tol`, the closure
+    tolerance the caller checks next.  The balanced configuration exists and
+    is unique up to rotation exactly when no coincident cluster carries half
+    the total weight, which holds strictly inside a chamber.  Such a cluster
+    (within the default angle tolerance) or points on one axis raise
+    NonConvergence before the first step; a singular J or a step that finds
+    no decrease raise it with the residual reached.
     """
     x = u
     F = weights @ x
     total = float(np.sum(weights))
-    target = tol * max(1.0, total)
+    target = tol * min(1.0, 1e-2 * max(1.0, total))
+    start = float(np.linalg.norm(F))
+    if start > target:
+        angles = _pair_angles(x)
+        w = weights.tolist()
+        groups = _angle_groups(angles, DEFAULT_TOL.angle)
+        heaviest = max(sum(w[i] for i in g) for g in groups)
+        if 2.0 * heaviest >= total or _on_one_axis(angles, DEFAULT_TOL.angle):
+            raise NonConvergence(
+                "no conformal barycenter: a coincident cluster carries half the "
+                f"weight or the points lie on one axis (residual {start:.3e})",
+                residual=start,
+            )
     for _ in range(100):
         base = float(np.linalg.norm(F))
         if base <= target:
             return x
         J = _balance_jacobian(x, weights)
         # det(J) / (2 sum w)^3 is the product of J's scaled eigenvalues, each
-        # in [0, 1]; below 1e-10 the points lie on one axis to within about
-        # 1e-5 rad, as a line hint does from the start and as the rest of a
-        # hint with a half-weight cluster does once pushed to its antipode
-        if np.linalg.det(J) <= 1e-10 * (2.0 * total) ** 3:
+        # in [0, 1]; at rounding level J is singular to working precision.
+        # Thin legal polygons sit far above it: (1, 1, 1, 3 - 1e-12) balances
+        # with points about 1e-6 rad off one axis, a scaled det near 1e-12
+        if np.linalg.det(J) <= np.finfo(float).eps * (2.0 * total) ** 3:
             break
         b = np.linalg.solve(J, -F)
         b *= min(1.0, 0.5 / float(np.linalg.norm(b)))
@@ -629,7 +665,7 @@ def transport(
             "the canonical identification is only defined within one"
         )
     weights = np.array([float(x) for x in target.r])
-    u = _rebalance(frame.u, weights, tol.closure * 1e-2)
+    u = _rebalance(frame.u, weights, tol.closure)
     out = EdgeFrame(target, u, frame.labels)
     if out.residual > tol.closure:
         raise NonConvergence(

@@ -94,6 +94,42 @@ class TestParamCone:
     def test_sampler_deterministic(self):
         assert param_sample(6, seed=3).to_json() == param_sample(6, seed=3).to_json()
 
+    def test_sampler_output_pinned(self):
+        # the slacks are formed from the integer lengths over one denominator;
+        # the values are the ones the Fraction-valued sampler gave
+        eps = {
+            "1,2,3": "15893/21952", "1,2,4": "26949/21952", "1,2,5": "6219/10976",
+            "1,2,6": "45309/43904", "1,2,7": "21421/10976", "1,3,4": "691/3136",
+            "1,3,5": "2073/21952", "1,3,6": "4119/10976", "1,3,7": "7601/10976",
+            "1,4,5": "691/1372", "1,4,6": "17849/21952", "1,4,7": "22803/21952",
+            "1,5,6": "15103/43904", "1,5,7": "6219/10976", "1,6,7": "37071/21952",
+            "2,3,4": "1403/3136", "2,3,5": "865/686", "2,3,6": "31579/43904",
+            "2,3,7": "18005/43904", "2,4,5": "865/1372", "2,4,6": "56293/43904",
+            "2,4,7": "59555/43904", "2,5,6": "1373/1568", "2,5,7": "865/686",
+            "2,6,7": "20595/10976", "3,4,5": "8823/5488", "3,4,6": "31579/21952",
+            "3,4,7": "1385/3136", "3,5,6": "1373/2744", "3,5,7": "519/686",
+            "3,6,7": "1373/3136", "4,5,6": "39817/43904", "4,5,7": "519/686",
+            "4,6,7": "23341/43904", "5,6,7": "34325/21952",
+        }
+        r = ["691/686", "354/343", "1403/1372", "1413/1372", "346/343", "1373/1372",
+             "1385/1372"]
+        p = param_sample(7, seed=5)
+        assert p.to_json() == {"r": r, "eps": {"eps": eps, "default": None}}
+        assert param_contains(p)
+
+    def test_membership_at_the_slack_bounds(self):
+        # the integer test agrees with 0 < eps < 2 min_J r_j on both sides of
+        # each end, at a scale far below the denominators of r
+        p = param_sample(8, seed=2)
+        tiny = F(1, 10**30)
+        for J in list(p.eps.eps)[:5]:
+            hi = 2 * min(p.r.r[j - 1] for j in J)
+            for value, inside in ((tiny, True), (hi - tiny, True), (F(0), False),
+                                  (-tiny, False), (hi, False), (hi + tiny, False)):
+                eps = dict(p.eps.eps)
+                eps[J] = value
+                assert param_contains(ParamPoint(p.r, EpsilonAssignment(eps))) is inside
+
     def test_wall_margin_vanishes_toward_chamber_boundary(self):
         # walking from the center toward a wall of the central chamber, the
         # margin of that wall shrinks linearly to zero and membership is lost

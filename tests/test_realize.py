@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+import stablegons.realize as realize
 from stablegons.chambers import LengthVector
 from stablegons.errors import (
     ChamberMismatch,
@@ -24,6 +25,7 @@ from stablegons.realize import (
     pgl2_equivalent,
     subpolygon,
     transport,
+    Tolerances,
 )
 
 F = Fraction
@@ -123,6 +125,43 @@ class TestClose:
                 close(r, hints=hints)
             assert np.isfinite(info.value.residual)
 
+    def test_hint_on_one_axis_fails_before_any_step(self):
+        # no class carries half the weight here (the two opposite rows are
+        # 1.8e-8 rad apart), but every row lies within 1e-8 rad of one axis
+        t = 0.9e-8
+        hints = [[1, 0, 0], [1, 0, 0], [-np.cos(t), np.sin(t), 0], [-np.cos(t), -np.sin(t), 0]]
+        r = (1, 1, F(3, 2), F(3, 2))
+        with pytest.raises(NonConvergence) as info:
+            close(r, hints=hints)
+        assert info.value.residual == EdgeFrame(r, hints).residual
+
+    def test_thin_polygon_closes_from_random_hints(self):
+        # (1, 1, 1, 3 - delta) balances with its points about sqrt(delta) rad
+        # off one axis; only a coincident half-weight cluster has no balance
+        rng = np.random.default_rng(10)
+        for k in (10, 11, 12):
+            r = (1, 1, 1, 3 - F(1, 10**k))
+            for _ in range(5):
+                u = rng.normal(size=(4, 3))
+                u /= np.linalg.norm(u, axis=1, keepdims=True)
+                frame = close(r, hints=u)
+                assert frame.residual <= 1e-10
+                assert pgl2_equivalent(moduli_point(EdgeFrame(r, u)), moduli_point(frame))
+
+    def test_heavy_weights_balance_below_closure_tolerance(self):
+        # sum w = 150: a hint off closure by about 1.2e-10 must still be
+        # balanced down to the 1e-10 that close checks, not accepted as is
+        r = LengthVector([30] * 5)
+        u = close(r, seed=1).u.copy()
+        tilt = 4e-12
+        side = np.cross(u[0], u[1])
+        side /= np.linalg.norm(side)
+        u[0] = np.cos(tilt) * u[0] + np.sin(tilt) * side
+        assert 1e-10 < EdgeFrame(r, u).residual < 1.5e-10
+        frame = close(r, hints=u)
+        assert frame.residual <= 1e-10
+        assert pgl2_equivalent(moduli_point(EdgeFrame(r, u)), moduli_point(frame))
+
 
 class TestCanonicalize:
     def test_square(self):
@@ -196,6 +235,100 @@ class TestParallelClasses:
         assert parallel_classes(frame) == [[1, 2, 3], [4, 5]]
 
 
+def pair_angle(a, b):
+    return float(np.arctan2(np.linalg.norm(np.cross(a, b)), np.dot(a, b)))
+
+
+def reference_classes(frame, tol):
+    n = frame.n
+    near = [[pair_angle(frame.u[i], frame.u[j]) <= tol for j in range(n)] for i in range(n)]
+    classes, seen = [], set()
+    for i in range(n):  # flood fill from each row not yet reached
+        if i in seen:
+            continue
+        stack, cls = [i], []
+        seen.add(i)
+        while stack:
+            k = stack.pop()
+            cls.append(frame.labels[k])
+            for j in range(n):
+                if near[k][j] and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        classes.append(sorted(cls))
+    return sorted(classes)
+
+
+def reference_line(frame, tol):
+    angles = [pair_angle(frame.u[0], row) for row in frame.u[1:]]
+    return all(min(a, np.pi - a) <= tol for a in angles)
+
+
+def reference_anchors(frame, tol):
+    u = canonicalize(frame, tol).u
+    anchors = []
+    for i in range(len(u)):
+        if all(pair_angle(u[i], u[j]) > tol for j in anchors):
+            anchors.append(i)
+            if len(anchors) == 3:
+                break
+    return tuple(anchors)
+
+
+def planted_frame(rng, n, tol):
+    """Unit rows tilted off a few base directions by 0, 0.5, 2 or 4.5 tol.
+
+    Tilts of one base run along one great circle, so no two rows of a
+    cluster sit near tol apart.  A third of the frames lie near one axis,
+    half of those within 0.5 tol of it.
+    """
+    bases = rng.normal(size=(int(rng.integers(1, 4)), 3))
+    tilts = [0.0, 0.5, 2.0, 4.5]
+    if rng.random() < 1 / 3:
+        bases = bases[:1]
+        if rng.random() < 0.5:
+            tilts = [0.0, 0.5]
+    u = np.empty((n, 3))
+    for i in range(n):
+        k = int(rng.integers(len(bases) + (len(bases) > 1)))
+        if k == len(bases):
+            u[i] = rng.normal(size=3)
+            continue
+        base = bases[k] / np.linalg.norm(bases[k])
+        side = np.cross(base, [1.0, 0.0, 0.0] if abs(base[0]) < 0.9 else [0.0, 1.0, 0.0])
+        side /= np.linalg.norm(side)
+        tilt = tol * rng.choice(tilts)
+        sign = rng.choice([1.0, -1.0])  # antiparallel rows
+        u[i] = sign * (np.cos(tilt) * base + np.sin(tilt) * side)
+    return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+
+class TestPairAngles:
+    def test_angle_between_is_gone(self):
+        assert not hasattr(realize, "angle_between")
+
+    def test_predicates_match_per_pair_reference(self):
+        tol = Tolerances().angle
+        rng = np.random.default_rng(77)
+        lines = anchored = 0
+        for _ in range(200):
+            n = int(rng.integers(4, 17))
+            frame = EdgeFrame([1] * n, planted_frame(rng, n, tol))
+            assert parallel_classes(frame) == reference_classes(frame, tol)
+            line = is_line_gon(frame)
+            assert line == reference_line(frame, tol)
+            lines += line
+            want = reference_anchors(frame, tol)
+            if len(want) < 3:
+                with pytest.raises(NoModuli):
+                    moduli_point(frame)
+            else:
+                assert moduli_point(frame).anchors == want
+                anchored += 1
+        # both outcomes of each predicate are drawn
+        assert 20 <= lines <= 180 and 20 <= anchored <= 180
+
+
 class TestModuli:
     def test_rotation_invariance(self):
         rng = np.random.default_rng(11)
@@ -257,6 +390,22 @@ class TestTransport:
             assert pgl2_equivalent(moduli_point(frame), moduli_point(moved))
             moved_any += 1
         assert moved_any >= 50
+
+    def test_heavy_weights_round_trip(self):
+        # sum w near 150, where a target scaled by the total weight alone
+        # would exceed the 1e-10 closure tolerance
+        r = [30] * 5
+        frame = close(r, seed=2)
+        there = transport(frame, 29)
+        back = transport(there, 30)
+        assert there.residual <= 1e-10 and back.residual <= 1e-10
+        assert pgl2_equivalent(moduli_point(frame), moduli_point(back))
+        # an unclosed frame transported to its own lengths is balanced too
+        u = frame.u.copy()
+        side = np.cross(u[0], u[1])
+        side /= np.linalg.norm(side)
+        u[0] = np.cos(4e-12) * u[0] + np.sin(4e-12) * side
+        assert transport(EdgeFrame(r, u), 30).residual <= 1e-10
 
     def test_balance_jacobian_matches_central_differences(self):
         rng = np.random.default_rng(8)
