@@ -408,8 +408,12 @@ def line_gons(r):
     polygon space.
     """
     r = as_length_vector(r)
-    walls, masks = _canonical_walls(r.n)
-    sums = r.subset_sums()
+    return _walls_on(r.subset_sums(), r.n)
+
+
+def _walls_on(sums: list, n: int) -> list:
+    """Canonical J of the walls through the n-vector with subset-sum table `sums`."""
+    walls, masks = _canonical_walls(n)
     return [w.J for w, m in zip(walls, masks) if 2 * sums[m] == sums[-1]]
 
 

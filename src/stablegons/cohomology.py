@@ -22,9 +22,13 @@ Three routes are implemented:
 * :func:`stable_betti` sums E-polynomials of open strata over all bubble
   trees, giving the Betti numbers of the stable-polygon compactification.
   The answer is independent of the chamber and of the slacks, which makes a
-  sharp cross-check.  Open-stratum E-polynomials are memoized once per
-  process on the chamber class of the component vector, so the work follows
-  the number of chambers met rather than the number of distinct lengths.
+  sharp cross-check.  Bubble trees are walked as one recursion over label
+  bitmasks that reads every component length from the subset-sum table of r
+  and carries the product of the children's sums as an integer coefficient
+  tuple.  Leaves of the walk are grouped by the chamber class of their
+  component vector, and open-stratum E-polynomials are memoized once per
+  process on that class, so the polynomial work follows the number of
+  chambers met rather than the number of distinct lengths.
 """
 
 from __future__ import annotations
@@ -39,11 +43,11 @@ from .chambers import (
     EpsilonAssignment,
     LengthVector,
     as_length_vector,
-    line_gons,
     _canonical_walls,
     _light_sides,
+    _walls_on,
 )
-from .errors import InternalError, InvalidArgument
+from .errors import InternalError, InvalidArgument, RangeError
 
 __all__ = [
     "PoincarePoly",
@@ -56,6 +60,26 @@ __all__ = [
     "ih_poincare_center",
     "stable_betti",
 ]
+
+
+def _poly_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two integer polynomials held as coefficient tuples."""
+    if len(b) == 1:
+        return a if b[0] == 1 else tuple(b[0] * x for x in a)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def _poly_add_into(acc: list, p: Sequence[int]) -> None:
+    """acc += p, for integer polynomials held as coefficient sequences."""
+    if len(acc) < len(p):
+        acc.extend([0] * (len(p) - len(acc)))
+    for i, x in enumerate(p):
+        acc[i] += x
 
 
 class PoincarePoly:
@@ -97,12 +121,7 @@ class PoincarePoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return PoincarePoly(other * a for a in self.coeffs)
-        out = [0] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return PoincarePoly(out)
+        return PoincarePoly(_poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -172,11 +191,6 @@ def set_partitions(items):
         yield tuple(sorted(part + ((first,),), key=lambda b: b[0]))
 
 
-def _block_sums(r: LengthVector, blocks) -> list:
-    """Block sums of `r.ints` (block sums of r times `r.den`), in block order."""
-    return [sum(r.ints[j - 1] for j in b) for b in blocks]
-
-
 @dataclass
 class Stratum:
     blocks: tuple
@@ -224,7 +238,7 @@ def strata(r, include_empty: bool = False, include_trivial: bool = True):
         merged = tuple(b for b in blocks if len(b) >= 2)
         if not merged and not include_trivial:
             continue
-        sums = _block_sums(r, blocks)
+        sums = [sum(r.ints[j - 1] for j in b) for b in blocks]
         k = len(blocks)
         closed = k >= 2 and 2 * max(sums) <= total
         open_ = k >= 3 and 2 * max(sums) < total
@@ -291,7 +305,7 @@ def schedule(r, eps: Optional[EpsilonAssignment] = None):
     if not r.in_cone_interior():
         raise InvalidArgument("r must lie in the interior of the polygon cone")
     steps = []
-    for J in line_gons(r):
+    for J in _walls_on(r.subset_sums(), r.n):
         steps.append(
             BlowupStep(kind="resolution", center=J, codim=r.n - 3, nontrivial=True)
         )
@@ -409,38 +423,51 @@ def ih_poincare_center(n: int) -> PoincarePoly:
 _E_OPEN: dict = {}
 
 
+def _chamber_class(vals: Sequence[int]) -> bytes:
+    """Chamber class of the sorted positive integers `vals`: the
+    :func:`_heavy_sides` of the subsets that avoid the largest value (the
+    other half are their complements).  Ignores scale."""
+    sums = [0]
+    for v in vals[:-1]:
+        sums += [s + v for s in sums]
+    return _heavy_sides(sums, sums[-1] + vals[-1])
+
+
 class _BettiEngine:
-    """E-polynomial bookkeeping over one (r, eps) input.
+    """E-polynomial bookkeeping over one (r, eps) input; eps must be legal.
 
     A component vector is a key: a sequence of positive integers, its lengths
     over a common denominator.  The E-polynomial of its open stratum is
-    constant on the key's chamber class: the length of the key together with
-    the sign of every subset sum of its sorted values against half the
-    perimeter, held as the :func:`_heavy_sides` of the subsets that avoid the
-    largest value (the other half are their complements).  The class ignores
-    scale, so keys need no normalization, and keys from different vectors,
-    slacks and calls share one entry in `_E_OPEN`; a class missing there is
-    computed once, from the wall count of the class itself.  `bubble_sum`
-    stays per call and keyed on J: the closing edges of its children depend
-    on the slacks, and sharing it across calls would assume the independence
-    the sum is there to check.
+    constant on the key's :func:`_chamber_class`, so keys from different
+    vectors, slacks and calls share one entry in `_E_OPEN`; a class missing
+    there is computed once, from the wall count of the class itself.
+
+    A bubble tree is a laminar family of subsets, walked as one recursion
+    over label bitmasks (:meth:`_families`): each label of a component, in
+    order, is either loose or the least label of one child bubble disjoint
+    from those already taken.  Every length is read from the subset-sum
+    table of r by mask, the product of the children's bubble sums is carried
+    down the recursion so that families with a common prefix share it, and
+    leaves are grouped by chamber class before one multiplication by that
+    class's polynomial.  Polynomials are integer coefficient tuples here.
+    `bubble_sum` stays per call and keyed on J: the closing edges of its
+    children depend on the slacks, and sharing it across calls would assume
+    the independence the sum is there to check.
     """
 
     def __init__(self, r: LengthVector, eps: EpsilonAssignment):
         self.r = r
         self.eps = eps
         self.n = r.n
+        self.sums = r.subset_sums()
         self._bubble = {}
 
     # E-polynomial of the open (no parallel edges) part: the closed space
     # minus every nonempty open stratum given by a coarser partition
     def e_open(self, key: Sequence[int]) -> PoincarePoly:
         vals = sorted(key)
-        sums = [0]  # over the subsets that avoid the largest value
-        for v in vals[:-1]:
-            sums += [s + v for s in sums]
-        total = sums[-1] + vals[-1]
-        cls = _heavy_sides(sums, total)
+        total = sum(vals)
+        cls = _chamber_class(vals)
         poly = _E_OPEN.get(cls)
         if poly is None:
             k = len(vals)
@@ -454,78 +481,73 @@ class _BettiEngine:
             _E_OPEN[cls] = poly
         return poly
 
-    def component_vector(self, members: Sequence[frozenset], ground):
-        """Lengths of the collapsed children `members` and the loose labels
-        `ground` of one bubble-tree component, times `r.den`."""
-        return _block_sums(self.r, members) + [self.r.ints[j - 1] for j in ground]
-
-    def bubble_sum(self, J: frozenset) -> PoincarePoly:
-        """Sum over all bubble trees rooted at J of their E-polynomial product."""
+    def bubble_sum(self, J: int) -> tuple:
+        """Sum over all bubble trees rooted at the mask J of their E-polynomial
+        product; a bubble with |J| = 2 is a rigid triangle and gives 1."""
         if J not in self._bubble:
-            ints = self.r.ints
-            # keys are integers and classes ignore scale: this bubble's
-            # lengths are taken times q * r.den, q the slack's denominator
-            slack = self.eps.get(J) * self.r.den
-            q = slack.denominator
-            sum_J = q * sum(ints[j - 1] for j in J)
-            last = sum_J - slack.numerator  # the closing edge
-            total = sum_J + last
-            candidates = [
-                frozenset(c)
-                for k in range(2, len(J))
-                for c in itertools.combinations(sorted(J), k)
-                # the collapsed child must stay strictly short of half the
-                # bubble perimeter or the component vector leaves the cone
-                if 2 * q * sum(ints[j - 1] for j in c) < total
-            ]
-            acc = PoincarePoly()
-            for family in _disjoint_families(candidates):
-                covered = set().union(*family) if family else set()
-                loose = [j for j in sorted(J) if j not in covered]
-                vals = [q * v for v in self.component_vector(family, loose)]
-                vals.append(last)
-                if 2 * max(vals) >= sum(vals):
-                    continue
-                term = self.e_open(vals)
-                for child in family:
-                    term = term * self.bubble_sum(child)
-                acc = acc + term
-            self._bubble[J] = acc
+            labels = [j + 1 for j in range(self.n) if J >> j & 1]
+            if len(labels) == 2:
+                self._bubble[J] = (1,)
+            else:
+                # keys are integers and classes ignore scale: this bubble's
+                # lengths are taken times q * r.den, q the slack's denominator
+                slack = self.eps.get(labels) * self.r.den
+                q = slack.denominator
+                last = q * self.sums[J] - slack.numerator  # the closing edge
+                self._bubble[J] = self._families(J, q, last)
         return self._bubble[J]
 
-    def total(self) -> PoincarePoly:
-        labels = range(1, self.n + 1)
-        # strictly light J; a light J of size n-1 would put r outside the cone
-        candidates = [frozenset(J) for J, d in _light_sides(self.r, 2) if d < 0]
-        acc = PoincarePoly()
-        for family in _disjoint_families(candidates):
-            covered = set().union(*family) if family else set()
-            loose = [j for j in labels if j not in covered]
-            vals = self.component_vector(family, loose)
-            if 2 * max(vals) >= sum(vals):
-                continue
-            term = self.e_open(vals)
-            for child in family:
-                term = term * self.bubble_sum(child)
-            acc = acc + term
-        return acc
+    def _families(self, ground: int, q: int, last: int = 0) -> tuple:
+        """Sum over the laminar families of bubbles inside `ground` of the
+        open E-polynomial of the component (its lengths times q, plus the
+        closing edge `last` when positive) times the children's bubble sums."""
+        sums = self.sums
+        total = q * sums[ground] + last
+        labels = [j for j in range(self.n) if ground >> j & 1]
+        size = len(labels)
+        # children by least label: proper sub-masks of size >= 2 whose sum
+        # stays strictly short of half the component perimeter, or the
+        # component vector leaves the cone
+        children = {j: [] for j in labels}
+        sub = (ground - 1) & ground
+        while sub:
+            if sub & (sub - 1) and 2 * q * sums[sub] < total:
+                children[(sub & -sub).bit_length() - 1].append(
+                    (sub, q * sums[sub], self.bubble_sum(sub))
+                )
+            sub = (sub - 1) & ground
+        vals = [last] if last else []
+        by_class = {}  # chamber class: (one key of that class, summed products)
 
+        def walk(i, used, prod):
+            while i < size and used >> labels[i] & 1:
+                i += 1
+            if i == size:
+                # all interior triangles share one chamber class
+                key = sorted(vals) if len(vals) > 3 else (1, 1, 1)
+                cls = _chamber_class(key)
+                entry = by_class.get(cls)
+                if entry is None:
+                    by_class[cls] = (key, list(prod))
+                else:
+                    _poly_add_into(entry[1], prod)
+                return
+            j = labels[i]
+            vals.append(q * sums[1 << j])
+            walk(i + 1, used, prod)
+            vals.pop()
+            for mask, value, poly in children[j]:
+                if not mask & used:
+                    vals.append(value)
+                    walk(i + 1, used | mask, _poly_mul(prod, poly))
+                    vals.pop()
 
-def _disjoint_families(candidates):
-    """All collections of pairwise disjoint candidate subsets (incl. empty)."""
-    cands = sorted(candidates, key=lambda c: (min(c), len(c), sorted(c)))
-
-    def rec(i, used, current):
-        yield list(current)
-        for j in range(i, len(cands)):
-            c = cands[j]
-            if used & c:
-                continue
-            current.append(c)
-            yield from rec(j + 1, used | c, current)
-            current.pop()
-
-    yield from rec(0, frozenset(), [])
+        walk(0, 0, (1,))
+        walk = None  # break the closure's cycle so refcounting frees it
+        out = []
+        for key, acc in by_class.values():
+            _poly_add_into(out, _poly_mul(self.e_open(key).coeffs, acc))
+        return tuple(out)
 
 
 def stable_betti(r, eps: Optional[EpsilonAssignment] = None) -> PoincarePoly:
@@ -536,14 +558,15 @@ def stable_betti(r, eps: Optional[EpsilonAssignment] = None) -> PoincarePoly:
     interior and off every wall; the result must come out with nonnegative
     palindromic coefficients and is independent of the chamber of r and of
     the choice of slacks, both of which are asserted in the test suite rather
-    than here.
+    than here.  Explicit slacks must be legal for r (see
+    :meth:`EpsilonAssignment.legal_for`), or :class:`RangeError` is raised.
     """
     r = as_length_vector(r)
     if r.n < 4:
         raise InvalidArgument("need n >= 4")
     if not r.in_cone_interior():
         raise InvalidArgument("r must lie in the interior of the polygon cone")
-    if line_gons(r):
+    if _walls_on(r.subset_sums(), r.n):
         raise InvalidArgument(
             "r lies on a wall: the ordinary space is singular and this "
             "summation does not apply (the schedule still reports the "
@@ -551,8 +574,9 @@ def stable_betti(r, eps: Optional[EpsilonAssignment] = None) -> PoincarePoly:
         )
     if eps is None:
         eps = EpsilonAssignment.canonical(r)
-    engine = _BettiEngine(r, eps)
-    poly = engine.total()
+    elif not eps.legal_for(r):
+        raise RangeError(f"slacks {eps.to_json()} leave some 0 < eps_J < 2 min_J r_j")
+    poly = PoincarePoly(_BettiEngine(r, eps)._families((1 << r.n) - 1, 1))
     if any(c < 0 for c in poly.coeffs) or not poly.palindromic():
         raise InternalError(f"stratification sum came out malformed: {poly!r}")
     return poly

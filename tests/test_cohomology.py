@@ -1,10 +1,12 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from stablegons import cohomology
 from stablegons.chambers import (
     EpsilonAssignment,
     LengthVector,
@@ -23,7 +25,7 @@ from stablegons.cohomology import (
     stable_betti,
     strata,
 )
-from stablegons.errors import InvalidArgument
+from stablegons.errors import InvalidArgument, RangeError
 
 F = Fraction
 
@@ -314,3 +316,93 @@ class TestStableBetti:
     def test_rejects_on_wall(self):
         with pytest.raises(InvalidArgument):
             stable_betti((1, 1, 1, 1, 2))
+
+
+def clique_counts(items, compatible):
+    """Number of sets of pairwise `compatible` items, by size (0 included)."""
+    m = len(items)
+    later = [
+        sum(1 << j for j in range(i + 1, m) if compatible(items[i], items[j]))
+        for i in range(m)
+    ]
+    counts = Counter()
+
+    def grow(size, cand):
+        counts[size] += 1
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            grow(size + 1, cand & later[low.bit_length() - 1])
+
+    grow(0, (1 << m) - 1)
+    return counts
+
+
+def boundary_strata_counts(n):
+    """Boundary strata of M_{0,n}-bar by codimension: sets of pairwise
+    compatible splits {S, S^c} with 2 <= |S| <= n-2, where two splits are
+    compatible when some side of one misses some side of the other."""
+    labels = frozenset(range(1, n + 1))
+    splits = sorted(
+        {
+            frozenset({frozenset(S), labels - frozenset(S)})
+            for k in range(2, n - 1)
+            for S in itertools.combinations(labels, k)
+        },
+        key=lambda split: sorted(map(sorted, split)),
+    )
+    return clique_counts(
+        splits, lambda a, b: any(not x & y for x in a for y in b)
+    )
+
+
+class TestBubbleTreeWalk:
+    @pytest.mark.parametrize(
+        "n, default",
+        [
+            (6, 10),
+            (6, 0),
+            (6, -1),
+            (6, 100),
+            (7, 3 * min(central_base(7).r)),
+            (6, 2 * min(central_base(6).r)),
+        ],
+    )
+    def test_illegal_slack_is_a_range_error(self, n, default):
+        eps = EpsilonAssignment(default=default)
+        assert not eps.legal_for(central_base(n))
+        with pytest.raises(RangeError, match=f"'default': '{F(default)}'"):
+            stable_betti(central_base(n), eps)
+
+    def test_illegal_explicit_slack_is_a_range_error(self):
+        r = central_base(6)
+        eps = EpsilonAssignment({(1, 2): 2 * max(r.r)}, default=min(r.r))
+        with pytest.raises(RangeError, match="1,2"):
+            stable_betti(r, eps)
+
+    def test_laminar_light_families_count_boundary_strata(self):
+        rng = random.Random(20263)
+        for n in (5, 6, 7, 8):
+            want = boundary_strata_counts(n)
+            for _ in range(6):
+                r = off_wall_spread(rng, n)
+                light = [frozenset(J) for J in relevant_subsets(r, 2)]
+                got = clique_counts(
+                    light, lambda a, b: not a & b or a <= b or b <= a
+                )
+                assert got == want, r
+
+    def test_central_nonagon_matches_keel(self):
+        assert stable_betti(central_base(9)) == keel(9)
+
+    def test_nonagon_with_slacks_off_the_length_grid(self):
+        rng = random.Random(20264)
+        r = off_wall_spread(rng, 9)
+        eps = random_legal_eps(rng, r)
+        # q > 1: the bubble lengths are rescaled by the slack's denominator
+        assert (eps.default * r.den).denominator > 1
+        assert any((v * r.den).denominator > 1 for v in eps.eps.values())
+        assert stable_betti(r, eps) == keel(9)
+
+    def test_disjoint_families_is_gone(self):
+        assert not hasattr(cohomology, "_disjoint_families")
