@@ -551,12 +551,15 @@ class EpsilonAssignment:
     def legal_for(self, r) -> bool:
         """Are all explicit entries (and the default) inside their ranges?
 
-        The default answers for every relevant subset.  For n >= 4 the two
-        shortest edges always form one, so the default is legal exactly when
-        0 < default < 2 min_i r_i.
+        An explicit entry whose key is empty or names a label outside 1..n
+        is illegal.  The default answers for every relevant subset.  For
+        n >= 4 the two shortest edges always form one, so the default is
+        legal exactly when 0 < default < 2 min_i r_i.
         """
         r = as_length_vector(r)
         for key, v in self.eps.items():
+            if not key or min(key) < 1 or max(key) > r.n:
+                return False
             bound = 2 * min(r.r[j - 1] for j in key)
             if not 0 < v < bound:
                 return False

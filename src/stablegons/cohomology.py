@@ -22,13 +22,13 @@ Three routes are implemented:
 * :func:`stable_betti` sums E-polynomials of open strata over all bubble
   trees, giving the Betti numbers of the stable-polygon compactification.
   The answer is independent of the chamber and of the slacks, which makes a
-  sharp cross-check.  Bubble trees are walked as one recursion over label
-  bitmasks that reads every component length from the subset-sum table of r
-  and carries the product of the children's sums as an integer coefficient
-  tuple.  Leaves of the walk are grouped by the chamber class of their
-  component vector, and open-stratum E-polynomials are memoized once per
-  process on that class, so the polynomial work follows the number of
-  chambers met rather than the number of distinct lengths.
+  sharp cross-check.  The open stratum of a component with k special points
+  (no two edges parallel) is k distinct points on P^1 modulo PGL_2, that is
+  M_{0,k}, with E-polynomial prod_{i=2}^{k-2} (t^2 - i) in every chamber.
+  Which bubbles a component admits does depend on the lengths and slacks, so
+  bubble trees are walked as one recursion over label bitmasks that reads
+  every length from the subset-sum table of r; leaves are grouped by their
+  number of special points.
 """
 
 from __future__ import annotations
@@ -329,40 +329,6 @@ def schedule(r, eps: Optional[EpsilonAssignment] = None):
 # ---------------------------------------------------------------------------
 
 
-def _heavy_sides(sums: list, total: int) -> bytes:
-    """1 for each subset sum s with 2 s > total, else 0, in the order of `sums`.
-
-    Raises when some 2 s equals `total`: the vector lies on a wall.
-    """
-    half = total // 2
-    if total % 2 == 0 and half in sums:
-        raise InvalidArgument("r lies on a wall; its space is singular")
-    return bytes(map(half.__lt__, sums))
-
-
-def _wall_crossing_count(heavy: bytes, n: int) -> PoincarePoly:
-    """Wall-crossing polynomial of an n-gon from its :func:`_heavy_sides`.
-
-    `heavy` is indexed by bitmask (bit j-1 for label j) and needs the masks
-    that avoid label n.  The reference (1, ..., 1, n-2) has J on the lighter
-    side of every canonical wall (2|J| < 2n - 3 for |J| <= n-2, since n is not
-    in J), so the walls whose sign differs between it and r are those where J
-    is heavy at r, each crossed into J's heavy side.
-    """
-    crossed = [0] * (n - 1)  # net crossings, by |J|
-    for w, m in zip(*_canonical_walls(n)):
-        if heavy[m]:
-            crossed[len(w.J)] += 1
-    poly = PoincarePoly.projective(n - 3)
-    for size, count in enumerate(crossed):
-        if count:
-            gain = PoincarePoly.projective(size - 2) - PoincarePoly.projective(
-                n - size - 2
-            )
-            poly = poly + count * gain
-    return poly
-
-
 def poincare_wall_crossing(r) -> PoincarePoly:
     """Poincare polynomial of the smooth polygon space of r by wall crossing.
 
@@ -382,8 +348,27 @@ def poincare_wall_crossing(r) -> PoincarePoly:
         raise InvalidArgument("need n >= 4")
     if not r.in_cone_interior():
         raise InvalidArgument("r must lie in the interior of the polygon cone")
+    n = r.n
     sums = r.subset_sums()
-    return _wall_crossing_count(_heavy_sides(sums, sums[-1]), r.n)
+    total = sums[-1]
+    # the reference has J on the lighter side of every canonical wall
+    # (2|J| < 2n - 3 for |J| <= n-2, since n is not in J), so r crossed the
+    # walls where J is heavy at r, each into J's heavy side
+    crossed = [0] * (n - 1)  # net crossings, by |J|
+    for w, m in zip(*_canonical_walls(n)):
+        margin = 2 * sums[m] - total
+        if margin == 0:
+            raise InvalidArgument("r lies on a wall; its space is singular")
+        if margin > 0:
+            crossed[len(w.J)] += 1
+    poly = PoincarePoly.projective(n - 3)
+    for size, count in enumerate(crossed):
+        if count:
+            gain = PoincarePoly.projective(size - 2) - PoincarePoly.projective(
+                n - size - 2
+            )
+            poly = poly + count * gain
+    return poly
 
 
 def _center_series(n: int) -> PoincarePoly:
@@ -415,44 +400,31 @@ def ih_poincare_center(n: int) -> PoincarePoly:
 # ---------------------------------------------------------------------------
 
 
-# Open-stratum E-polynomials by chamber class, shared by every call in the
-# process.  An entry depends on its class alone and PoincarePoly is immutable,
-# so no call can see state another call left behind; the memo holds at most
-# one entry per class of vectors with at most n entries, for the largest n
-# summed so far.
-_E_OPEN: dict = {}
-
-
-def _chamber_class(vals: Sequence[int]) -> bytes:
-    """Chamber class of the sorted positive integers `vals`: the
-    :func:`_heavy_sides` of the subsets that avoid the largest value (the
-    other half are their complements).  Ignores scale."""
-    sums = [0]
-    for v in vals[:-1]:
-        sums += [s + v for s in sums]
-    return _heavy_sides(sums, sums[-1] + vals[-1])
+def _e_open(k: int) -> tuple:
+    """E-polynomial of M_{0,k}, the open stratum of every k-gon space:
+    prod_{i=2}^{k-2} (t^2 - i) as a coefficient tuple, (1,) for k = 3."""
+    poly = (1,)
+    for i in range(2, k - 1):
+        poly = _poly_mul(poly, (-i, 1))
+    return poly
 
 
 class _BettiEngine:
     """E-polynomial bookkeeping over one (r, eps) input; eps must be legal.
 
-    A component vector is a key: a sequence of positive integers, its lengths
-    over a common denominator.  The E-polynomial of its open stratum is
-    constant on the key's :func:`_chamber_class`, so keys from different
-    vectors, slacks and calls share one entry in `_E_OPEN`; a class missing
-    there is computed once, from the wall count of the class itself.
-
     A bubble tree is a laminar family of subsets, walked as one recursion
     over label bitmasks (:meth:`_families`): each label of a component, in
     order, is either loose or the least label of one child bubble disjoint
-    from those already taken.  Every length is read from the subset-sum
-    table of r by mask, the product of the children's bubble sums is carried
-    down the recursion so that families with a common prefix share it, and
-    leaves are grouped by chamber class before one multiplication by that
-    class's polynomial.  Polynomials are integer coefficient tuples here.
-    `bubble_sum` stays per call and keyed on J: the closing edges of its
-    children depend on the slacks, and sharing it across calls would assume
-    the independence the sum is there to check.
+    from those already taken.  The open stratum of a component is M_{0,k}
+    for its k special points (loose labels, children and the closing edge),
+    so the walk carries only k; which children a component admits is read
+    from the subset-sum table of r and the slacks.  The product of the
+    children's bubble sums is carried down the recursion so that families
+    with a common prefix share it, and leaves are grouped by k before one
+    multiplication by :func:`_e_open`.  Polynomials are integer coefficient
+    tuples here.  `bubble_sum` stays per call and keyed on J: the closing
+    edges of its children depend on the slacks, and sharing it across calls
+    would assume the independence the sum is there to check.
     """
 
     def __init__(self, r: LengthVector, eps: EpsilonAssignment):
@@ -462,25 +434,6 @@ class _BettiEngine:
         self.sums = r.subset_sums()
         self._bubble = {}
 
-    # E-polynomial of the open (no parallel edges) part: the closed space
-    # minus every nonempty open stratum given by a coarser partition
-    def e_open(self, key: Sequence[int]) -> PoincarePoly:
-        vals = sorted(key)
-        total = sum(vals)
-        cls = _chamber_class(vals)
-        poly = _E_OPEN.get(cls)
-        if poly is None:
-            k = len(vals)
-            poly = PoincarePoly.one() if k == 3 else _wall_crossing_count(cls, k)
-            for blocks in set_partitions(range(k)):
-                if len(blocks) == k or len(blocks) < 3:
-                    continue
-                block_sums = [sum(vals[i] for i in b) for b in blocks]
-                if 2 * max(block_sums) < total:
-                    poly = poly - self.e_open(block_sums)
-            _E_OPEN[cls] = poly
-        return poly
-
     def bubble_sum(self, J: int) -> tuple:
         """Sum over all bubble trees rooted at the mask J of their E-polynomial
         product; a bubble with |J| = 2 is a rigid triangle and gives 1."""
@@ -489,8 +442,8 @@ class _BettiEngine:
             if len(labels) == 2:
                 self._bubble[J] = (1,)
             else:
-                # keys are integers and classes ignore scale: this bubble's
-                # lengths are taken times q * r.den, q the slack's denominator
+                # integer lengths: this bubble's are taken times q * r.den,
+                # with q the denominator of eps_J * r.den
                 slack = self.eps.get(labels) * self.r.den
                 q = slack.denominator
                 last = q * self.sums[J] - slack.numerator  # the closing edge
@@ -513,40 +466,32 @@ class _BettiEngine:
         while sub:
             if sub & (sub - 1) and 2 * q * sums[sub] < total:
                 children[(sub & -sub).bit_length() - 1].append(
-                    (sub, q * sums[sub], self.bubble_sum(sub))
+                    (sub, self.bubble_sum(sub))
                 )
             sub = (sub - 1) & ground
-        vals = [last] if last else []
-        by_class = {}  # chamber class: (one key of that class, summed products)
+        by_points = {}  # special points of the component: summed products
 
-        def walk(i, used, prod):
+        def walk(i, used, points, prod):
             while i < size and used >> labels[i] & 1:
                 i += 1
             if i == size:
-                # all interior triangles share one chamber class
-                key = sorted(vals) if len(vals) > 3 else (1, 1, 1)
-                cls = _chamber_class(key)
-                entry = by_class.get(cls)
-                if entry is None:
-                    by_class[cls] = (key, list(prod))
+                acc = by_points.get(points)
+                if acc is None:
+                    by_points[points] = list(prod)
                 else:
-                    _poly_add_into(entry[1], prod)
+                    _poly_add_into(acc, prod)
                 return
             j = labels[i]
-            vals.append(q * sums[1 << j])
-            walk(i + 1, used, prod)
-            vals.pop()
-            for mask, value, poly in children[j]:
+            walk(i + 1, used, points + 1, prod)
+            for mask, poly in children[j]:
                 if not mask & used:
-                    vals.append(value)
-                    walk(i + 1, used | mask, _poly_mul(prod, poly))
-                    vals.pop()
+                    walk(i + 1, used | mask, points + 1, _poly_mul(prod, poly))
 
-        walk(0, 0, (1,))
+        walk(0, 0, 1 if last > 0 else 0, (1,))
         walk = None  # break the closure's cycle so refcounting frees it
         out = []
-        for key, acc in by_class.values():
-            _poly_add_into(out, _poly_mul(self.e_open(key).coeffs, acc))
+        for k, acc in by_points.items():
+            _poly_add_into(out, _poly_mul(_e_open(k), acc))
         return tuple(out)
 
 

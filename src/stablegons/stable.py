@@ -36,7 +36,6 @@ from .chambers import (
     LengthVector,
     as_length_vector,
     augment,
-    epsilon_range,
     rational,
     _check_subset,
 )
@@ -345,11 +344,6 @@ def stabilize(
                 )
             J = tuple(cls)
             eps_J = eps.get(J)  # raises naming J when missing
-            lo, hi = epsilon_range(root_r, J)
-            if not lo < eps_J < hi:
-                raise InvalidArgument(
-                    f"eps for J={list(J)} outside legal range (0, {hi})"
-                )
             bubble_r = augment(root_r, J, eps_J)
             labels = J + (FREE_EDGE,)
             if frozenset(J) in explicit:

@@ -251,6 +251,18 @@ class TestWallCrossing:
             r = off_wall_spread(rng, 4 + i % 8)
             assert poincare_wall_crossing(r) == short_subset_poincare(r), r
 
+    def test_matches_stratification_sum(self):
+        # the closed space of r is the disjoint union of its nonempty open
+        # strata, and the open stratum of a k-block partition is M_{0,k}
+        rng = random.Random(20265)
+        for i in range(40):
+            r = off_wall_spread(rng, 4 + i % 5)
+            acc = PoincarePoly()
+            for e in strata(r)[0]:
+                if e.nonempty_open:
+                    acc = acc + PoincarePoly(cohomology._e_open(e.k))
+            assert acc == poincare_wall_crossing(r), r
+
     def test_quadrilateral_always_a_line(self):
         rng = random.Random(9)
         for _ in range(10):
@@ -307,11 +319,7 @@ class TestStableBetti:
 
     def test_open_part_of_pentagon(self):
         # E of the locus with no parallel edges: t^4 - 5 t^2 + 6
-        from stablegons.cohomology import _BettiEngine
-
-        r = LengthVector([1] * 5)
-        engine = _BettiEngine(r, EpsilonAssignment.canonical(r))
-        assert engine.e_open((1, 1, 1, 1, 1)).coeffs == (6, -5, 1)
+        assert cohomology._e_open(5) == (6, -5, 1)
 
     def test_rejects_on_wall(self):
         with pytest.raises(InvalidArgument):
@@ -380,6 +388,14 @@ class TestBubbleTreeWalk:
         with pytest.raises(RangeError, match="1,2"):
             stable_betti(r, eps)
 
+    @pytest.mark.parametrize("key", [(0, 1), (1, 9), ()])
+    def test_slack_keyed_outside_the_labels_is_a_range_error(self, key):
+        r = central_base(6)
+        eps = EpsilonAssignment({key: min(r.r)}, default=min(r.r))
+        assert not eps.legal_for(r)
+        with pytest.raises(RangeError, match="slacks"):
+            stable_betti(r, eps)
+
     def test_laminar_light_families_count_boundary_strata(self):
         rng = random.Random(20263)
         for n in (5, 6, 7, 8):
@@ -394,6 +410,14 @@ class TestBubbleTreeWalk:
 
     def test_central_nonagon_matches_keel(self):
         assert stable_betti(central_base(9)) == keel(9)
+
+    def test_central_decagon_matches_keel(self):
+        assert stable_betti(central_base(10)) == keel(10)
+
+    def test_decagon_with_random_slacks_matches_keel(self):
+        rng = random.Random(20266)
+        r = off_wall_spread(rng, 10)
+        assert stable_betti(r, random_legal_eps(rng, r)) == keel(10)
 
     def test_nonagon_with_slacks_off_the_length_grid(self):
         rng = random.Random(20264)

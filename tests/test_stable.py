@@ -3,7 +3,7 @@ import pytest
 from fractions import Fraction
 
 from stablegons.chambers import EpsilonAssignment, LengthVector, augment
-from stablegons.errors import InvalidArgument, NoLimit, StructureError
+from stablegons.errors import InvalidArgument, NoLimit, RangeError, StructureError
 from stablegons.realize import (
     EdgeFrame,
     close,
@@ -72,6 +72,13 @@ class TestStabilize:
         frame = close_degenerate(HEX_R, [(1, 2, 3)], seed=4)
         with pytest.raises(InvalidArgument, match=r"1, 2, 3"):
             stabilize(frame, EpsilonAssignment({(1, 2): F(1, 2)}))
+
+    def test_slack_at_its_bound_names_subset(self):
+        # 2 min_J r_j is the open upper end of the legal range for J
+        frame = close_degenerate(HEX_R, [(1, 2, 3)], seed=4)
+        eps = EpsilonAssignment({(1, 2, 3): 2}, default=1)
+        with pytest.raises(RangeError, match=r"1, 2, 3"):
+            stabilize(frame, eps)
 
     def test_explicit_bubble_filler(self):
         frame = close_degenerate(HEX_R, [(1, 2, 3)], seed=4)
