@@ -30,9 +30,12 @@ def parse_lengths(text: str) -> LengthVector:
 
 def parse_subset(text: str):
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        J = tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise InvalidArgument(f"cannot parse --J {text!r}: {exc}") from None
+    if len(set(J)) != len(J):
+        raise InvalidArgument(f"--J {text!r} repeats a label")
+    return J
 
 
 def parse_eps(text, r: LengthVector) -> EpsilonAssignment:
@@ -249,22 +252,24 @@ def run(args) -> int:
 
 
 def _interpolating_family(r, J, seed, steps):
-    """Seeded path of frames swinging the J-edges toward a common direction."""
+    """Seeded path of frames swinging the J-edges toward a common direction.
+
+    Each J-edge turns about its own seeded axis by the Rodrigues formula; the
+    cross and dot products with the base rows are formed once for all J rows.
+    """
     base = realize.close_degenerate(r, [J], seed=seed)
     rng = np.random.default_rng(seed + 1)
-    axes = rng.normal(size=(len(J), 3))
+    axes = np.array([a / np.linalg.norm(a) for a in rng.normal(size=(len(J), 3))])
+    idx = [j - 1 for j in J]
+    v = base.u[idx]
+    swing = axes[:, [1, 2, 0]] * v[:, [2, 0, 1]] - axes[:, [2, 0, 1]] * v[:, [1, 2, 0]]
+    # a stack of 1x3 @ 3x1 products runs np.dot's kernel, so they round alike
+    along = axes * (axes[:, None, :] @ v[:, :, None])[:, 0]
     frames = []
     for t in np.linspace(0.85, 0.0, steps):
+        angle = 0.9 * float(t)
         u = base.u.copy()
-        for k, j in enumerate(J):
-            axis = axes[k] / np.linalg.norm(axes[k])
-            angle = 0.9 * float(t)
-            v = u[j - 1]
-            u[j - 1] = (
-                v * np.cos(angle)
-                + np.cross(axis, v) * np.sin(angle)
-                + axis * np.dot(axis, v) * (1 - np.cos(angle))
-            )
+        u[idx] = v * np.cos(angle) + swing * np.sin(angle) + along * (1 - np.cos(angle))
         frames.append(realize.close(r, hints=u))
     return frames
 

@@ -30,6 +30,7 @@ to the sub-polygon it should shadow.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -160,6 +161,11 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _lin(a: float, p: tuple, b: float, q: tuple, d: float = 1.0) -> tuple:
+    """(a p + b q) / d for 3-tuples of floats, one operation at a time."""
+    return (a * p[0] + b * q[0]) / d, (a * p[1] + b * q[1]) / d, (a * p[2] + b * q[2]) / d
+
+
 def _fan_directions(rf: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Edge directions of a closed polygon, built in action-angle coordinates.
 
@@ -169,7 +175,9 @@ def _fan_directions(rf: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     edges k+1..n can still close is propagated backward from d_{n-1}.  Going
     forward, each d_k is drawn uniformly from it, intersected with the window
     |d_{k-1} - r_k| .. d_{k-1} + r_k, and each triangle is turned about the
-    diagonal it shares with the last one by a uniform dihedral angle.
+    diagonal it shares with the last one by a uniform dihedral angle.  The
+    loop runs on 3-tuples of floats (:func:`_lin`), rounding as numpy would on
+    3-vectors at a fraction of the cost; cosines and sines stay vectorised.
     """
     n = len(rf)
     r = rf.tolist()
@@ -182,28 +190,27 @@ def _fan_directions(rf: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     # orthonormal frame: e along the current diagonal, w in the plane of the
     # last triangle, m normal to that plane; the first bend already turns
     # (w, m) by a uniform angle, so only the gauge of u_1 is fixed here
-    e, w, m = np.eye(3)
-    u = np.empty((n, 3))
-    u[0] = e
+    e, w, m = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
+    u = [e]
     D = r[0]
-    for k, ct, st in zip(range(1, n - 1), np.cos(angles), np.sin(angles)):
+    for k, ct, st in zip(range(1, n - 1), np.cos(angles).tolist(), np.sin(angles).tolist()):
         a = max(abs(D - r[k]), lo[k + 1])
         b = min(D + r[k], hi[k + 1])
         d = a + t[k] * (b - a)
         # bend the next triangle about the diagonal by its dihedral angle
-        w, m = ct * w + st * m, ct * m - st * w
+        w, m = _lin(ct, w, st, m), _lin(ct, m, -st, w)
         # edge k+1 meets the diagonal at angle acos(c); forming the sine as
         # sqrt((1 - c)(1 + c)) keeps thin triangles accurate
         c = min(1.0, max(-1.0, ((d - D) * (d + D) - r[k] * r[k]) / (2.0 * D * r[k])))
         s = math.sqrt((1.0 - c) * (1.0 + c))
-        u[k] = c * e + s * w
+        u.append(_lin(c, e, s, w))
         # the next triangle starts from the diagonal actually reached, so
         # rounding does not carry over
         x, y = D + r[k] * c, r[k] * s
         D = math.hypot(x, y)
-        e, w = (x * e + y * w) / D, (x * w - y * e) / D
-    u[n - 1] = -e
-    return u
+        e, w = _lin(x, e, y, w, D), _lin(x, w, -y, e, D)
+    u.append((-e[0], -e[1], -e[2]))
+    return np.array(u)
 
 
 def close(r, seed=None, hints=None, tol: Optional[float] = None) -> EdgeFrame:
@@ -267,11 +274,8 @@ def close_degenerate(r, classes, seed=None, tol: Optional[float] = None) -> Edge
     if any(len(c) < 2 for c in classes):
         raise InvalidArgument("each class needs at least two edges")
     covered = set(flat)
-    loose = [j for j in range(1, r.n + 1) if j not in covered]
-    merged = [sum((r.r[j - 1] for j in c), Fraction(0)) for c in classes] + [
-        r.r[j - 1] for j in loose
-    ]
-    small = LengthVector(merged)
+    groups = classes + [(j,) for j in range(1, r.n + 1) if j not in covered]
+    small = LengthVector([sum((r.r[j - 1] for j in c), Fraction(0)) for c in groups])
     if small.on_cone_boundary():
         total = small.perimeter()
         heavy = next(i for i, v in enumerate(small.r) if 2 * v == total)
@@ -290,12 +294,30 @@ def close_degenerate(r, classes, seed=None, tol: Optional[float] = None) -> Edge
     else:
         raise InvalidArgument("collapsed vector leaves the polygon cone")
     u = np.zeros((r.n, 3))
-    for ci, c in enumerate(classes):
-        for j in c:
-            u[j - 1] = frame.u[ci]
-    for li, j in enumerate(loose):
-        u[j - 1] = frame.u[len(classes) + li]
+    for i, c in enumerate(groups):
+        u[[j - 1 for j in c]] = frame.u[i]
     return EdgeFrame(r, u)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> tuple:
+    """a x b for two 3-vectors, as floats formed in np.cross's order."""
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def _gauge(u: np.ndarray, tol: float) -> np.ndarray:
+    """Directions u read in the basis of :func:`canonicalize`, rows re-unitized."""
+    e1 = u[0] / np.linalg.norm(u[0])
+    perp = u[1:] - np.outer(u[1:] @ e1, e1)
+    norms = np.linalg.norm(perp, axis=1)
+    far = np.flatnonzero(norms > tol)
+    if far.size:
+        e2 = perp[far[0]] / norms[far[0]]
+    else:
+        e2 = np.array(_cross(e1, np.eye(3)[np.argmin(np.abs(e1))]))
+        e2 /= np.linalg.norm(e2)
+    basis = np.array([e1, e2, _cross(e1, e2)])
+    return _unit_rows(u @ basis.T)
 
 
 def canonicalize(frame: EdgeFrame, tol: Optional[float] = None) -> EdgeFrame:
@@ -305,21 +327,13 @@ def canonicalize(frame: EdgeFrame, tol: Optional[float] = None) -> EdgeFrame:
     component orthogonal to u_1 of the first later direction whose component
     exceeds `tol`, e_3 = e_1 x e_2.  So u_1 becomes (1,0,0) and that
     direction lands in the z = 0 plane with positive y.  For a line polygon
-    (all directions on the u_1 axis) any e_2 orthogonal to u_1 is taken.
+    (all directions on the u_1 axis) any e_2 orthogonal to u_1 is taken.  The
+    two cross products are written out on floats (:func:`_cross`), bit for bit
+    those of np.cross without its per-call axis handling.
     """
     if tol is None:
         tol = DEFAULT_TOL.angle
-    e1 = frame.u[0] / np.linalg.norm(frame.u[0])
-    perp = frame.u[1:] - np.outer(frame.u[1:] @ e1, e1)
-    norms = np.linalg.norm(perp, axis=1)
-    far = np.flatnonzero(norms > tol)
-    if far.size:
-        e2 = perp[far[0]] / norms[far[0]]
-    else:
-        e2 = np.cross(e1, np.eye(3)[np.argmin(np.abs(e1))])
-        e2 /= np.linalg.norm(e2)
-    basis = np.array([e1, e2, np.cross(e1, e2)])
-    return EdgeFrame(frame.lengths, _unit_rows(frame.u @ basis.T), frame.labels)
+    return EdgeFrame(frame.lengths, _gauge(frame.u, tol), frame.labels)
 
 
 def diagonal(frame: EdgeFrame, J) -> tuple:
@@ -358,12 +372,16 @@ def _find(parent: list, i: int) -> int:
 def _angle_groups(angles: np.ndarray, tol: float) -> list:
     """Row indices grouped where pairwise angles are at most tol.
 
-    The relation is closed transitively with the union-find :func:`_find`.
+    The relation is closed transitively with the union-find :func:`_find`,
+    over the pairs i < j of np.nonzero in row-major order: the pairs, and
+    their order, of the upper triangle, without building a triangular mask.
     """
     n = len(angles)
     parent = list(range(n))
-    for i, j in np.argwhere(np.triu(angles <= tol, 1)).tolist():
-        parent[_find(parent, i)] = _find(parent, j)
+    rows, cols = np.nonzero(angles <= tol)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if i < j:
+            parent[_find(parent, i)] = _find(parent, j)
     groups = {}
     for i in range(n):
         groups.setdefault(_find(parent, i), []).append(i)
@@ -470,12 +488,16 @@ def moduli_point(frame: EdgeFrame, tol: Optional[float] = None) -> ModuliPoint:
     The anchors are the first three directions, in edge order, that are
     pairwise more than `tol` radians apart, found by one greedy scan over one
     angle matrix.  Needs at least three such directions; line polygons have
-    no marked-point moduli and are rejected.
+    no marked-point moduli and are rejected.  Only the directions are read:
+    :func:`_marks` does the work on the direction array, with no frame built.
     """
-    if tol is None:
-        tol = DEFAULT_TOL.angle
-    frame = canonicalize(frame, tol)
-    apart = (_pair_angles(frame.u) > tol).tolist()
+    return _marks(frame.u, DEFAULT_TOL.angle if tol is None else tol)
+
+
+def _marks(u: np.ndarray, tol: float) -> ModuliPoint:
+    """:func:`moduli_point` of the unit direction rows u."""
+    u = _gauge(u, tol)
+    apart = (_pair_angles(u) > tol).tolist()
     anchors = []
     for i, row in enumerate(apart):
         if all(row[j] for j in anchors):
@@ -486,7 +508,7 @@ def moduli_point(frame: EdgeFrame, tol: Optional[float] = None) -> ModuliPoint:
         raise NoModuli(
             "fewer than three distinct directions: no marked-point moduli"
         )
-    pairs = _stereographic_pairs(frame.u)
+    pairs = _stereographic_pairs(u)
     M = _mobius_to_standard(*(pairs[i] for i in anchors))
     out = pairs @ M.T
     norms = np.linalg.norm(out, axis=1)
@@ -502,11 +524,7 @@ def pgl2_distance(a: ModuliPoint, b: ModuliPoint) -> float:
     if a.n != b.n:
         return float("inf")
     trip = [b.pairs[i] for i in a.anchors]
-    if (
-        _chordal(trip[0], trip[1]) < 1e-13
-        or _chordal(trip[0], trip[2]) < 1e-13
-        or _chordal(trip[1], trip[2]) < 1e-13
-    ):
+    if any(_chordal(p, q) < 1e-13 for p, q in itertools.combinations(trip, 2)):
         return float("inf")  # b collapses a's anchors, so configurations differ
     M = _mobius_to_standard(*trip)
     moved = b.pairs @ M.T
@@ -581,7 +599,10 @@ def _rebalance(u: np.ndarray, weights: np.ndarray, tol: float) -> np.ndarray:
     the total weight, which holds strictly inside a chamber.  Such a cluster
     (within the default angle tolerance) or points on one axis raise
     NonConvergence before the first step; a singular J or a step that finds
-    no decrease raise it with the residual reached.
+    no decrease raise it with the residual reached.  The angle matrix for
+    that check is formed only when two unit rows have |u_i . u_j| > 0.99, as
+    any two within the angle tolerance of each other or of each other's
+    opposite do; without such a pair only one point can carry half the weight.
     """
     x = u
     F = weights @ x
@@ -589,11 +610,16 @@ def _rebalance(u: np.ndarray, weights: np.ndarray, tol: float) -> np.ndarray:
     target = tol * min(1.0, 1e-2 * max(1.0, total))
     start = float(np.linalg.norm(F))
     if start > target:
-        angles = _pair_angles(x)
         w = weights.tolist()
-        groups = _angle_groups(angles, DEFAULT_TOL.angle)
-        heaviest = max(sum(w[i] for i in g) for g in groups)
-        if 2.0 * heaviest >= total or _on_one_axis(angles, DEFAULT_TOL.angle):
+        near = np.abs(x @ x.T) > 0.99
+        np.fill_diagonal(near, False)
+        refuse = 2.0 * max(w) >= total
+        if near.any() and not refuse:
+            angles = _pair_angles(x)
+            groups = _angle_groups(angles, DEFAULT_TOL.angle)
+            heaviest = max(sum(w[i] for i in g) for g in groups)
+            refuse = 2.0 * heaviest >= total or _on_one_axis(angles, DEFAULT_TOL.angle)
+        if refuse:
             raise NonConvergence(
                 "no conformal barycenter: a coincident cluster carries half the "
                 f"weight or the points lie on one axis (residual {start:.3e})",

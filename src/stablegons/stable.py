@@ -53,9 +53,9 @@ from .realize import (
     ModuliPoint,
     Tolerances,
     _find,
+    _marks,
     close,
     diagonal,
-    moduli_point,
     parallel_classes,
     subpolygon,
     transport,
@@ -172,8 +172,9 @@ def validate(
 ) -> StabilityReport:
     """Check the stable-polygon conditions, reporting per-condition outcomes.
 
-    Structural problems (non-laminar subsets, children escaping their parent)
-    raise StructureError before any geometry is touched.  The geometric
+    Structural problems (non-laminar subsets, children escaping their parent,
+    a frame not labelled by its subset, plus FREE_EDGE on a bubble) raise
+    StructureError before any geometry is touched.  The geometric
     checks: every component must close, each bubble's lengths must agree with
     the augmented vector of its parent, each component must degenerate at
     exactly its children's subsets, leaves must be generic, and no closing
@@ -188,6 +189,9 @@ def validate(
     if not _laminar(subsets):
         raise StructureError("bubble subsets are not laminar")
     for nd in sp.root.walk():
+        want = nd.subset if nd is sp.root else nd.subset + (FREE_EDGE,)
+        if nd.frame.labels != want:
+            raise StructureError(f"frame of {list(nd.subset)} must be labelled {list(want)}")
         parent_set = set(nd.subset)
         for child in nd.children:
             if not set(child.subset) < parent_set:
@@ -213,25 +217,22 @@ def validate(
                 f"residual={nd.frame.residual:.2e}",
             )
         )
-        if nd is sp.root:
-            want = sp.root_r
+        try:
+            if nd is sp.root:
+                want = sp.root_r
+            else:
+                eps = nd.eps if nd.eps is not None else sp.eps.get(nd.subset)
+                want = augment(sp.root_r, nd.subset, eps)
+            # exact first; the float comparison only when the rationals differ
             ok = nd.frame.lengths == want or np.allclose(
                 nd.frame.r, [float(x) for x in want.r], rtol=0, atol=1e-9
             )
-            checks.append(Check("lengths", tag, bool(ok), ""))
-        else:
-            eps = nd.eps if nd.eps is not None else sp.eps.get(nd.subset)
-            try:
-                want = augment(sp.root_r, nd.subset, eps)
-                ok = np.allclose(
-                    nd.frame.r, [float(x) for x in want.r], rtol=0, atol=1e-9
-                )
-                detail = "" if ok else (
-                    f"expected {[float(x) for x in want.r]}, got {list(nd.frame.r)}"
-                )
-            except InvalidArgument as exc:
-                ok, detail = False, str(exc)
-            checks.append(Check("lengths", tag, bool(ok), detail))
+            detail = "" if ok else (
+                f"expected {[float(x) for x in want.r]}, got {list(nd.frame.r)}"
+            )
+        except InvalidArgument as exc:
+            ok, detail = False, str(exc)
+        checks.append(Check("lengths", tag, bool(ok), detail))
 
         classes = [tuple(c) for c in parallel_classes(nd.frame, tol.angle)]
         big = sorted(c for c in classes if len(c) >= 2)
@@ -492,27 +493,17 @@ def _collapsed_marks(node: StableNode, tol: Tolerances) -> Optional[ModuliPoint]
     Line-polygon components have no marked-point moduli and yield None.
     """
     frame = node.frame
-    child_sets = [c.subset for c in node.children]
-    taken = set().union(*map(set, child_sets)) if child_sets else set()
-    dirs, lens = [], []
-    for J in child_sets:
-        idx = [frame.index_of(j) for j in J]
+    taken = {j for c in node.children for j in c.subset}
+    dirs = []
+    for c in node.children:
+        idx = [frame.index_of(j) for j in c.subset]
         v = np.sum(frame.r[idx, None] * frame.u[idx], axis=0)
         dirs.append(v / np.linalg.norm(v))
-        lens.append(float(np.sum(frame.r[idx])))
-    for lab in frame.labels:
-        if lab in taken or (node.eps is not None and lab == FREE_EDGE):
-            continue
-        i = frame.index_of(lab)
-        dirs.append(frame.u[i])
-        lens.append(float(frame.r[i]))
-    if node.eps is not None:
-        i = frame.index_of(FREE_EDGE)
-        dirs.append(frame.u[i])
-        lens.append(float(frame.r[i]))
-    fused = EdgeFrame(LengthVector(lens), np.array(dirs))
+    # validate fixes the labels: 1..n at the root, J then FREE_EDGE on a
+    # bubble, so the closing edge comes after the loose labels
+    dirs += [frame.u[i] for i, lab in enumerate(frame.labels) if lab not in taken]
     try:
-        return moduli_point(fused, tol.angle)
+        return _marks(np.array(dirs), tol.angle)
     except NoModuli:
         return None
 

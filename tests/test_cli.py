@@ -137,3 +137,53 @@ def test_tolerance_override(capsys):
         capsys, "realize", "--r", "1,1,1,1,1", "--seed", "1", "--tol", "closure=1e-6"
     )
     assert code == 0
+
+
+def test_limit_rejects_repeated_label(capsys):
+    code, _, err = run_cli(capsys, "limit", "--r", "1,1,1,2,2,2", "--J", "1,1,2,3")
+    assert code == 2
+    assert "repeats a label" in err
+
+
+def test_interpolating_family_matches_per_edge_rotation(monkeypatch):
+    # the per-edge Rodrigues rotation with np.cross and np.dot is the
+    # reference; the array form must give the same frames, bit for bit
+    import numpy as np
+
+    from stablegons import realize
+    from stablegons.cli import _interpolating_family
+
+    # a degenerate frame puts its class on (1, 0, 0), where every product is
+    # exact; a seeded rotation of the base makes the rounding matter
+    R, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))
+    degenerate = realize.close_degenerate
+    monkeypatch.setattr(
+        realize, "close_degenerate", lambda *a, **k: degenerate(*a, **k).rotated(R)
+    )
+
+    def per_edge(r, J, seed, steps):
+        base = realize.close_degenerate(r, [J], seed=seed)
+        axes = np.random.default_rng(seed + 1).normal(size=(len(J), 3))
+        frames = []
+        for t in np.linspace(0.85, 0.0, steps):
+            u = base.u.copy()
+            for k, j in enumerate(J):
+                axis = axes[k] / np.linalg.norm(axes[k])
+                angle = 0.9 * float(t)
+                v = u[j - 1]
+                u[j - 1] = (
+                    v * np.cos(angle)
+                    + np.cross(axis, v) * np.sin(angle)
+                    + axis * np.dot(axis, v) * (1 - np.cos(angle))
+                )
+            frames.append(realize.close(r, hints=u))
+        return frames
+
+    cases = [
+        ((1, 1, 1, 2, 2, 2), (1, 2, 3), 11),
+        ((2, 3, 4, 5, 6, 7), (4, 2), 9),
+        ((3, 4, 5, 6, 7, 8, 9), (5, 1, 3), 4),
+    ]
+    for r, J, seed in cases:
+        got, want = _interpolating_family(r, J, seed, 12), per_edge(r, J, seed, 12)
+        assert all(np.array_equal(a.u, b.u) for a, b in zip(got, want))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -83,6 +85,49 @@ class TestClose:
             assert np.array_equal(frame.u, close(r, seed=drawn).u)
             drawn += 1
 
+    def test_fan_directions_match_array_loop(self):
+        # the float loop of _fan_directions against the same loop on numpy
+        # 3-vectors: every operation in the same order, so every bit agrees
+        def array_fan(rf, rng):
+            n = len(rf)
+            r = rf.tolist()
+            lo, hi = r[:], r[:]
+            for k in range(n - 2, 0, -1):
+                lo[k] = max(lo[k + 1] - r[k], r[k] - hi[k + 1], 0.0)
+                hi[k] = hi[k + 1] + r[k]
+            t = rng.random(n).tolist()
+            angles = 2.0 * np.pi * rng.random(n)
+            e, w, m = np.eye(3)
+            u = np.empty((n, 3))
+            u[0] = e
+            D = r[0]
+            for k, ct, st in zip(range(1, n - 1), np.cos(angles), np.sin(angles)):
+                a = max(abs(D - r[k]), lo[k + 1])
+                b = min(D + r[k], hi[k + 1])
+                d = a + t[k] * (b - a)
+                w, m = ct * w + st * m, ct * m - st * w
+                c = min(1.0, max(-1.0, ((d - D) * (d + D) - r[k] * r[k]) / (2.0 * D * r[k])))
+                s = math.sqrt((1.0 - c) * (1.0 + c))
+                u[k] = c * e + s * w
+                x, y = D + r[k] * c, r[k] * s
+                D = math.hypot(x, y)
+                e, w = (x * e + y * w) / D, (x * w - y * e) / D
+            u[n - 1] = -e
+            return u
+
+        rng = np.random.default_rng(2611)
+        for trial in range(300):
+            n = 4 + trial % 13
+            rf = rng.uniform(0.1, 2.0, size=n)
+            if trial % 3 == 0:  # thin: the last edge just short of the rest
+                rf[-1] = rf[:-1].sum() * (1.0 - 10.0 ** -float(rng.integers(1, 13)))
+            if 2.0 * rf.max() >= rf.sum():
+                continue
+            got = realize._fan_directions(rf, np.random.default_rng(trial))
+            want = array_fan(rf, np.random.default_rng(trial))
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_boundary_vector_rejected(self):
         with pytest.raises(InvalidArgument):
             close((1, 1, 3))
@@ -135,6 +180,40 @@ class TestClose:
             close(r, hints=hints)
         assert info.value.residual == EdgeFrame(r, hints).residual
 
+    def test_barycenter_refusals_survive_the_prefilter(self):
+        # a cluster 0.5 tol wide carrying half the weight, and one point
+        # carrying half the weight on its own, are refused before any step
+        t = 0.5 * Tolerances().angle
+        cluster = [[1, 0, 0], [np.cos(t), np.sin(t), 0], [0, 0, 1], [0, -0.6, -0.8]]
+        lone = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.6, 0, -0.8]]
+        cases = [(cluster, [1.0, 1.0, 1.0, 1.0]), (lone, [3.0, 1.0, 1.0, 1.0])]
+        for u, w in cases:
+            u, w = np.array(u, dtype=float), np.array(w)
+            with pytest.raises(NonConvergence, match="no conformal barycenter") as info:
+                realize._rebalance(u, w, 1e-10)
+            assert info.value.residual == float(np.linalg.norm(w @ u))
+
+    def test_barycenter_prefilter_matches_full_check(self):
+        # the refusal decision equals the check on the full angle matrix
+        tol = Tolerances().angle
+        rng = np.random.default_rng(79)
+        refused = 0
+        for _ in range(200):
+            n = int(rng.integers(3, 13))
+            u = planted_frame(rng, n, tol)
+            w = rng.uniform(0.5, 2.0, size=n)
+            angles = realize._pair_angles(u)
+            heaviest = max(w[g].sum() for g in realize._angle_groups(angles, tol))
+            want = 2.0 * heaviest >= w.sum() or realize._on_one_axis(angles, tol)
+            try:
+                realize._rebalance(u, w, 1e-10)
+                got = False
+            except NonConvergence as exc:
+                got = "no conformal barycenter" in str(exc)
+            assert got == want
+            refused += want
+        assert 20 <= refused <= 180
+
     def test_thin_polygon_closes_from_random_hints(self):
         # (1, 1, 1, 3 - delta) balances with its points about sqrt(delta) rad
         # off one axis; only a coincident half-weight cluster has no balance
@@ -177,6 +256,34 @@ class TestCanonicalize:
             R = random_rotation(rng)
             again = canonicalize(frame.rotated(R))
             assert np.allclose(canon.u, again.u, atol=1e-9)
+
+    def test_matches_np_cross_basis(self):
+        # the written-out cross products give np.cross's basis bit for bit,
+        # on generic frames and on line polygons (the fallback e_2)
+        def np_cross_gauge(u, tol):
+            e1 = u[0] / np.linalg.norm(u[0])
+            perp = u[1:] - np.outer(u[1:] @ e1, e1)
+            norms = np.linalg.norm(perp, axis=1)
+            far = np.flatnonzero(norms > tol)
+            if far.size:
+                e2 = perp[far[0]] / norms[far[0]]
+            else:
+                e2 = np.cross(e1, np.eye(3)[np.argmin(np.abs(e1))])
+                e2 /= np.linalg.norm(e2)
+            basis = np.array([e1, e2, np.cross(e1, e2)])
+            out = u @ basis.T
+            return out / np.linalg.norm(out, axis=1, keepdims=True)
+
+        tol = Tolerances().angle
+        rng = np.random.default_rng(80)
+        for trial in range(200):
+            n = int(rng.integers(3, 13))
+            u = rng.normal(size=(n, 3))
+            if trial % 4 == 0:  # a line polygon on a random axis
+                u = np.outer(rng.choice([-1.0, 1.0], size=n), u[0])
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            got = canonicalize(EdgeFrame([1] * n, u)).u
+            assert np.array_equal(got, np_cross_gauge(u, tol))
 
     def test_line_gon_passthrough(self):
         u = [[0, 1, 0], [0, 1, 0], [0, -1, 0], [0, -1, 0]]
@@ -307,6 +414,23 @@ class TestPairAngles:
     def test_angle_between_is_gone(self):
         assert not hasattr(realize, "angle_between")
 
+    def test_angle_groups_match_triangular_mask(self):
+        # the union-find sees the pairs of np.triu(angles <= tol, 1), in order
+        def triu_groups(angles, tol):
+            parent = list(range(len(angles)))
+            for i, j in np.argwhere(np.triu(angles <= tol, 1)).tolist():
+                parent[realize._find(parent, i)] = realize._find(parent, j)
+            groups = {}
+            for i in range(len(angles)):
+                groups.setdefault(realize._find(parent, i), []).append(i)
+            return list(groups.values())
+
+        tol = Tolerances().angle
+        rng = np.random.default_rng(78)
+        for _ in range(200):
+            angles = realize._pair_angles(planted_frame(rng, int(rng.integers(4, 17)), tol))
+            assert realize._angle_groups(angles, tol) == triu_groups(angles, tol)
+
     def test_predicates_match_per_pair_reference(self):
         tol = Tolerances().angle
         rng = np.random.default_rng(77)
@@ -357,6 +481,23 @@ class TestModuli:
         a = moduli_point(close([1] * 5, seed=100))
         b = moduli_point(close([1] * 5, seed=101))
         assert not pgl2_equivalent(a, b)
+
+    def test_matches_canonical_frame_pipeline(self):
+        # moduli_point works on the direction array; the reference builds the
+        # canonical frame first and reads the marks off it, bit for bit alike
+        def via_frame(frame, tol):
+            u = canonicalize(frame, tol).u
+            anchors = reference_anchors(frame, tol)
+            pairs = realize._stereographic_pairs(u)
+            out = pairs @ realize._mobius_to_standard(*(pairs[i] for i in anchors)).T
+            return out / np.linalg.norm(out, axis=1)[:, None], anchors
+
+        tol = Tolerances().angle
+        for seed in range(40):
+            frame = close([1] * (4 + seed % 9), seed=seed)
+            pairs, anchors = via_frame(frame, tol)
+            mp = moduli_point(frame)
+            assert np.array_equal(mp.pairs, pairs) and mp.anchors == anchors
 
     def test_line_gon_has_no_moduli(self):
         u = [[1, 0, 0], [1, 0, 0], [-1, 0, 0], [-1, 0, 0]]

@@ -3,18 +3,28 @@ import pytest
 from fractions import Fraction
 
 from stablegons.chambers import EpsilonAssignment, LengthVector, augment
-from stablegons.errors import InvalidArgument, NoLimit, RangeError, StructureError
+from stablegons.errors import (
+    InvalidArgument,
+    NoLimit,
+    NoModuli,
+    RangeError,
+    StructureError,
+)
 from stablegons.realize import (
+    FREE_EDGE,
     EdgeFrame,
+    Tolerances,
     close,
     close_degenerate,
     diagonal,
     incidence,
+    moduli_point,
     parallel_classes,
     pgl2_equivalent,
 )
 from stablegons.stable import (
     StableNode,
+    _collapsed_marks,
     forget,
     limit,
     stabilize,
@@ -163,6 +173,28 @@ class TestValidate:
         sp.root.children.append(stray)
         with pytest.raises(StructureError):
             validate(sp)
+
+    def test_bubble_frame_without_closing_edge_raises(self):
+        r = (3, 4, 5, 6, 7)
+        frame = close_degenerate(r, [(1, 2)], seed=1)
+        sp = stabilize(frame, canonical_eps(r), filler=1)
+        node = sp.find((1, 2))
+        node.frame = EdgeFrame(node.frame.lengths, node.frame.u, (1, 2, 9))
+        with pytest.raises(StructureError, match=r"\[1, 2\]"):
+            validate(sp)
+        with pytest.raises(StructureError):
+            to_stable_curve(sp)
+
+    def test_bubble_frame_with_wrong_edge_count_raises(self):
+        r = (3, 4, 5, 6, 7)
+        frame = close_degenerate(r, [(1, 2)], seed=1)
+        sp = stabilize(frame, canonical_eps(r), filler=1)
+        node = sp.find((1, 2))
+        node.frame = close((1, 1, 1, 1), seed=2)
+        with pytest.raises(StructureError, match=r"\[1, 2\]"):
+            validate(sp)
+        with pytest.raises(StructureError):
+            to_stable_curve(sp)
 
     def test_unbubbled_class_fails(self):
         frame = close_degenerate(HEX_R, [(1, 2, 3)], seed=4)
@@ -345,6 +377,57 @@ class TestStableCurve:
         assert mid.legs == (3, 4) and mid.n_special == 4
         leaf = curve.vertex((1, 2))
         assert leaf.legs == (1, 2) and leaf.n_special == 3
+
+    def test_collapsed_marks_match_fused_frame(self):
+        # the marks read off the fused direction array equal moduli_point of
+        # the fused frame with summed lengths, bit for bit
+        def fused_frame_marks(node, tol):
+            frame = node.frame
+            taken = {j for c in node.children for j in c.subset}
+            dirs, lens = [], []
+            for c in node.children:
+                idx = [frame.index_of(j) for j in c.subset]
+                v = np.sum(frame.r[idx, None] * frame.u[idx], axis=0)
+                dirs.append(v / np.linalg.norm(v))
+                lens.append(float(np.sum(frame.r[idx])))
+            for i, lab in enumerate(frame.labels):
+                if lab not in taken and (node.eps is None or lab != FREE_EDGE):
+                    dirs.append(frame.u[i])
+                    lens.append(float(frame.r[i]))
+            if node.eps is not None:
+                i = frame.index_of(FREE_EDGE)
+                dirs.append(frame.u[i])
+                lens.append(float(frame.r[i]))
+            try:
+                return moduli_point(EdgeFrame(LengthVector(lens), np.array(dirs)), tol.angle)
+            except NoModuli:
+                return None
+
+        cases = [
+            (HEX_R, [(1, 2, 3)]),
+            (HEX_R, [(1, 2), (4, 5)]),
+            (LengthVector((3, 4, 5, 6, 7)), [(1, 2)]),
+            (LengthVector((1, 1, 1, 1, 10, 10, 10)), [(1, 2, 3, 4)]),
+            (LengthVector((2, 3, 4, 5, 6, 7, 8, 9)), [(1, 2, 3), (4, 5)]),
+        ]
+        line = EdgeFrame((1, 1, 1, 1), [[1, 0, 0], [1, 0, 0], [-1, 0, 0], [-1, 0, 0]])
+        sps = [stabilize(line, canonical_eps([1] * 4))]
+        for r, classes in cases:
+            for seed in range(3):
+                frame = close_degenerate(r, classes, seed=seed)
+                sps.append(stabilize(frame, EpsilonAssignment.canonical(r), filler=seed))
+        tol = Tolerances()
+        nones = 0
+        for sp in sps:
+            for nd in sp.nodes():
+                got, want = _collapsed_marks(nd, tol), fused_frame_marks(nd, tol)
+                if want is None:
+                    assert got is None
+                    nones += 1
+                    continue
+                assert np.array_equal(got.pairs, want.pairs)
+                assert got.anchors == want.anchors
+        assert nones == 1  # the root of the square line polygon
 
     def test_dot_output(self):
         frame = close_degenerate(HEX_R, [(1, 2, 3)], seed=4)
