@@ -25,16 +25,17 @@ Three routes are implemented:
   sharp cross-check.  The open stratum of a component with k special points
   (no two edges parallel) is k distinct points on P^1 modulo PGL_2, that is
   M_{0,k}, with E-polynomial prod_{i=2}^{k-2} (t^2 - i) in every chamber.
-  Which bubbles a component admits does depend on the lengths and slacks, so
-  bubble trees are walked as one recursion over label bitmasks that reads
-  every length from the subset-sum table of r; leaves are grouped by their
-  number of special points.
+  Which bubbles a component admits depends on the lengths and slacks, read
+  from the subset-sum table of r; bubble trees are summed by a least-element
+  dynamic program over the labels a component has left, which merges every
+  family sharing a remainder and tracks only the number of special points.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
@@ -43,8 +44,8 @@ from .chambers import (
     EpsilonAssignment,
     LengthVector,
     as_length_vector,
+    _bubble_candidates,
     _canonical_walls,
-    _light_sides,
     _walls_on,
 )
 from .errors import InternalError, InvalidArgument, RangeError
@@ -273,7 +274,7 @@ def strata(r, include_empty: bool = False, include_trivial: bool = True):
     return entries, edges
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlowupStep:
     kind: str  # "resolution" or "blowup"
     center: tuple
@@ -291,6 +292,22 @@ class BlowupStep:
         }
 
 
+@functools.cache
+def _blowup_steps(n: int) -> tuple:
+    """(mask, step) for every candidate center J over n labels, deepest first."""
+    out = [
+        (m, BlowupStep("blowup", J, len(J) - 1, len(J) >= 3))
+        for m, J in _bubble_candidates(n)
+    ]
+    out.sort(key=lambda item: (-len(item[1].center), item[1].center))
+    return tuple(out)
+
+
+def _require_legal(r: LengthVector, eps: Optional[EpsilonAssignment]) -> None:
+    if eps is not None and not eps.legal_for(r):
+        raise RangeError(f"slacks {eps.to_json()} leave some 0 < eps_J < 2 min_J r_j")
+
+
 def schedule(r, eps: Optional[EpsilonAssignment] = None):
     """Ordered construction of the stable compactification over M_r.
 
@@ -299,29 +316,21 @@ def schedule(r, eps: Optional[EpsilonAssignment] = None):
     deepest (largest |J|) to shallowest.  Multi-block strata arise as
     intersections of these centers and are never centers themselves.  Steps
     with |J| = 2 are recorded but flagged trivial: the corresponding bubble is
-    a rigid triangle and the blowup is an isomorphism.
+    a rigid triangle and the blowup is an isomorphism.  Slacks must be legal
+    for r, or :class:`RangeError` is raised.  Steps are frozen: unannotated
+    blowup steps are shared by every call at the same n.
     """
     r = as_length_vector(r)
     if not r.in_cone_interior():
         raise InvalidArgument("r must lie in the interior of the polygon cone")
-    steps = []
-    for J in _walls_on(r.subset_sums(), r.n):
-        steps.append(
-            BlowupStep(kind="resolution", center=J, codim=r.n - 3, nontrivial=True)
-        )
-    centers = [J for J, d in _light_sides(r, 2) if d < 0]
-    centers.sort(key=lambda J: (-len(J), J))
-    for J in centers:
-        steps.append(
-            BlowupStep(
-                kind="blowup",
-                center=J,
-                codim=len(J) - 1,
-                nontrivial=len(J) >= 3,
-                eps=None if eps is None else eps.get(J),
-            )
-        )
-    return steps
+    _require_legal(r, eps)
+    sums = r.subset_sums()
+    total = sums[-1]
+    steps = [BlowupStep("resolution", J, r.n - 3, True) for J in _walls_on(sums, r.n)]
+    blowups = [s for m, s in _blowup_steps(r.n) if 2 * sums[m] < total]
+    if eps is not None:
+        blowups = [replace(s, eps=eps.get(s.center)) for s in blowups]
+    return steps + blowups
 
 
 # ---------------------------------------------------------------------------
@@ -412,19 +421,19 @@ def _e_open(k: int) -> tuple:
 class _BettiEngine:
     """E-polynomial bookkeeping over one (r, eps) input; eps must be legal.
 
-    A bubble tree is a laminar family of subsets, walked as one recursion
-    over label bitmasks (:meth:`_families`): each label of a component, in
-    order, is either loose or the least label of one child bubble disjoint
-    from those already taken.  The open stratum of a component is M_{0,k}
-    for its k special points (loose labels, children and the closing edge),
-    so the walk carries only k; which children a component admits is read
-    from the subset-sum table of r and the slacks.  The product of the
-    children's bubble sums is carried down the recursion so that families
-    with a common prefix share it, and leaves are grouped by k before one
-    multiplication by :func:`_e_open`.  Polynomials are integer coefficient
-    tuples here.  `bubble_sum` stays per call and keyed on J: the closing
-    edges of its children depend on the slacks, and sharing it across calls
-    would assume the independence the sum is there to check.
+    A bubble tree is a laminar family of subsets.  Within one component the
+    admissible children are fixed (read from the subset-sum table of r and
+    the slacks), so its families are summed by a memo over the mask R of
+    labels still to place (:meth:`_forest`): the least label of R is either
+    loose or the least label of one child inside R, and what remains is the
+    same problem on a smaller mask.  The open stratum of a component is
+    M_{0,k} for its k special points (loose labels, children and the closing
+    edge), so the memo carries, for each k, the summed products of the
+    children's bubble sums, and each k is multiplied once by :func:`_e_open`.
+    Polynomials are integer coefficient sequences here.  `bubble_sum` stays
+    per call and keyed on J: the closing edges of its children depend on the
+    slacks, and sharing it across calls would assume the independence the sum
+    is there to check.
     """
 
     def __init__(self, r: LengthVector, eps: EpsilonAssignment):
@@ -456,43 +465,43 @@ class _BettiEngine:
         closing edge `last` when positive) times the children's bubble sums."""
         sums = self.sums
         total = q * sums[ground] + last
-        labels = [j for j in range(self.n) if ground >> j & 1]
-        size = len(labels)
-        # children by least label: proper sub-masks of size >= 2 whose sum
+        # children by least label bit: proper sub-masks of size >= 2 whose sum
         # stays strictly short of half the component perimeter, or the
         # component vector leaves the cone
-        children = {j: [] for j in labels}
+        children = {}
         sub = (ground - 1) & ground
         while sub:
             if sub & (sub - 1) and 2 * q * sums[sub] < total:
-                children[(sub & -sub).bit_length() - 1].append(
+                children.setdefault(sub & -sub, []).append(
                     (sub, self.bubble_sum(sub))
                 )
             sub = (sub - 1) & ground
-        by_points = {}  # special points of the component: summed products
-
-        def walk(i, used, points, prod):
-            while i < size and used >> labels[i] & 1:
-                i += 1
-            if i == size:
-                acc = by_points.get(points)
-                if acc is None:
-                    by_points[points] = list(prod)
-                else:
-                    _poly_add_into(acc, prod)
-                return
-            j = labels[i]
-            walk(i + 1, used, points + 1, prod)
-            for mask, poly in children[j]:
-                if not mask & used:
-                    walk(i + 1, used | mask, points + 1, _poly_mul(prod, poly))
-
-        walk(0, 0, 1 if last > 0 else 0, (1,))
-        walk = None  # break the closure's cycle so refcounting frees it
+        closing = 1 if last > 0 else 0
         out = []
-        for k, acc in by_points.items():
-            _poly_add_into(out, _poly_mul(_e_open(k), acc))
+        for k, acc in enumerate(self._forest(ground, children, {0: [[1]]})):
+            if acc:
+                _poly_add_into(out, _poly_mul(_e_open(k + closing), acc))
         return tuple(out)
+
+    def _forest(self, R: int, children: dict, memo: dict) -> list:
+        """f(R): index k holds the summed children's products over the ways
+        to split the labels of R into k loose labels and children.
+
+        The least label of R is loose or the least label of one child C in R:
+        f(R) = y f(R - low R) + sum_C bubble_sum(C) y f(R - C), y counting
+        special points."""
+        got = memo.get(R)
+        if got is not None:
+            return got
+        low = R & -R
+        out = [[]] + [list(p) for p in self._forest(R ^ low, children, memo)]
+        for C, poly in children.get(low, ()):
+            if C & R == C:
+                for k, p in enumerate(self._forest(R ^ C, children, memo)):
+                    if p:
+                        _poly_add_into(out[k + 1], _poly_mul(p, poly))
+        memo[R] = out
+        return out
 
 
 def stable_betti(r, eps: Optional[EpsilonAssignment] = None) -> PoincarePoly:
@@ -517,10 +526,9 @@ def stable_betti(r, eps: Optional[EpsilonAssignment] = None) -> PoincarePoly:
             "summation does not apply (the schedule still reports the "
             "resolution step)"
         )
+    _require_legal(r, eps)
     if eps is None:
         eps = EpsilonAssignment.canonical(r)
-    elif not eps.legal_for(r):
-        raise RangeError(f"slacks {eps.to_json()} leave some 0 < eps_J < 2 min_J r_j")
     poly = PoincarePoly(_BettiEngine(r, eps)._families((1 << r.n) - 1, 1))
     if any(c < 0 for c in poly.coeffs) or not poly.palindromic():
         raise InternalError(f"stratification sum came out malformed: {poly!r}")

@@ -103,6 +103,18 @@ def test_schedule_json_and_dot(capsys):
     assert out.startswith("digraph schedule")
 
 
+def test_schedule_refuses_illegal_slacks(capsys):
+    # every pair of the equilateral pentagon is a center, so each has a slack
+    # and only the range check can refuse the 5 > 2 min r_j on {1,2}
+    pairs = [f"{i},{j}=1" for i in range(1, 6) for j in range(i + 1, 6)]
+    eps = ";".join(["1,2=5"] + pairs[1:])
+    code, out, err = run_cli(capsys, "schedule", "--r", "1,1,1,1,1", "--eps", eps)
+    assert code == 2 and out == ""
+    assert "slacks" in err
+    code, _, _ = run_cli(capsys, "schedule", "--r", "1,1,1,1,1", "--eps", ";".join(pairs))
+    assert code == 0
+
+
 def test_strata_counts(capsys):
     code, out, _ = run_cli(capsys, "strata", "--r", "1,1,1,1,3.5")
     assert code == 0

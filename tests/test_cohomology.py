@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import itertools
 import random
 from collections import Counter
@@ -16,6 +18,7 @@ from stablegons.chambers import (
     relevant_subsets,
 )
 from stablegons.cohomology import (
+    BlowupStep,
     PoincarePoly,
     ih_poincare_center,
     poincare_center,
@@ -92,6 +95,33 @@ def keel(n):
     assert all(c % 2 == 0 for c in acc.coeffs)
     half = PoincarePoly([0] + [c // 2 for c in acc.coeffs])
     return PoincarePoly([1, 1]) * keel(m) + half
+
+
+@functools.cache
+def blowup_route(lengths, centers):
+    """E-polynomial of M_r blown up along `centers` in order.
+
+    Y_J is M_{r_J}, with J merged into one new last edge; its proper
+    transform is M_{r_J} blown up along the earlier centers: a superset L of
+    J becomes (L - J) plus the new edge, a disjoint L stays, and an
+    overlapping L drops, since blowing up L | J first separated it from J."""
+    n = len(lengths)
+    acc = PoincarePoly.one() if n == 3 else poincare_wall_crossing(lengths)
+    for i, J in enumerate(centers):
+        rest = [j for j in range(1, n + 1) if j not in J]
+        relabel = {j: t for t, j in enumerate(rest, 1)}
+        star = len(rest) + 1
+        induced = tuple(
+            frozenset(relabel[j] for j in L - J) | ({star} if J < L else set())
+            for L in centers[:i]
+            if J < L or not L & J
+        )
+        merged = tuple(lengths[j - 1] for j in rest) + (
+            sum(lengths[j - 1] for j in J),
+        )
+        gain = PoincarePoly.projective(len(J) - 2) - PoincarePoly.one()
+        acc = acc + blowup_route(merged, induced) * gain
+    return acc
 
 
 def random_legal_eps(rng, r):
@@ -193,6 +223,47 @@ class TestSchedule:
         steps = schedule([1] * 5, eps)
         assert all(s.eps == 1 for s in steps if s.kind == "blowup")
 
+    @pytest.mark.parametrize("default", [5, -3, 2])
+    def test_illegal_slack_is_a_range_error(self, default):
+        with pytest.raises(RangeError, match="slacks"):
+            schedule([1] * 5, EpsilonAssignment(default=default))
+
+    def test_steps_are_frozen(self):
+        steps = schedule((1, 1, 1, 1, 2), EpsilonAssignment(default=1))
+        for step in (steps[0], steps[-1], schedule([1] * 6)[0]):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                step.eps = F(1, 2)
+
+    def test_annotation_leaves_the_shared_steps_alone(self):
+        r = central_base(7)
+        eps = EpsilonAssignment(default=min(r.r) / 2)
+        assert all(s.eps == eps.default for s in schedule(r, eps))
+        assert all(s.eps is None for s in schedule(r))
+        assert all(s.eps is None for s in schedule([1] * 7))
+
+    def test_matches_strictly_light_subsets(self):
+        # reference built from the public chamber calls: resolution steps,
+        # then the strictly light J deepest first; small integer entries put
+        # many of these r on walls
+        rng = random.Random(20267)
+        on_wall = 0
+        for i in range(70):
+            n = 4 + i % 7
+            hi = rng.choice((2, 3, 30))
+            r = [rng.randint(1, hi) for _ in range(n)]
+            if not LengthVector(r).in_cone_interior():
+                continue
+            walls = line_gons(r)
+            on_wall += bool(walls)
+            light = [
+                J for J, d in relevant_subsets(r, 2, with_margins=True) if d < 0
+            ]
+            light.sort(key=lambda J: (-len(J), J))
+            want = [BlowupStep("resolution", J, n - 3, True) for J in walls]
+            want += [BlowupStep("blowup", J, len(J) - 1, len(J) >= 3) for J in light]
+            assert schedule(r) == want, r
+        assert on_wall >= 5
+
 
 class TestWallCrossing:
     def test_equilateral_pentagon(self):
@@ -262,6 +333,17 @@ class TestWallCrossing:
                 if e.nonempty_open:
                     acc = acc + PoincarePoly(cohomology._e_open(e.k))
             assert acc == poincare_wall_crossing(r), r
+
+    def test_iterated_blowup_of_the_schedule_is_keel(self):
+        # E(M_{r,eps}) = E(M_r) + sum_J E(proper transform of Y_J)(P^{|J|-2} - 1)
+        # over the blowup steps, and M_{r,eps} is M_{0,n}-bar
+        rng = random.Random(20268)
+        for i in range(20):
+            r = off_wall_spread(rng, 4 + i % 5)
+            centers = tuple(
+                frozenset(s.center) for s in schedule(r) if s.kind == "blowup"
+            )
+            assert blowup_route(tuple(r.ints), centers) == keel(r.n), r
 
     def test_quadrilateral_always_a_line(self):
         rng = random.Random(9)
@@ -413,6 +495,12 @@ class TestBubbleTreeWalk:
 
     def test_central_decagon_matches_keel(self):
         assert stable_betti(central_base(10)) == keel(10)
+
+    def test_equilateral_hendecagon_matches_keel(self):
+        assert stable_betti([1] * 11) == keel(11)
+
+    def test_central_dodecagon_matches_keel(self):
+        assert stable_betti(central_base(12)) == keel(12)
 
     def test_decagon_with_random_slacks_matches_keel(self):
         rng = random.Random(20266)
