@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -170,9 +171,19 @@ def as_length_vector(r) -> LengthVector:
     return r if isinstance(r, LengthVector) else LengthVector(r)
 
 
+def _label(j) -> int:
+    """An edge label as a plain int; bools, floats and strings are refused."""
+    if not isinstance(j, bool):
+        try:
+            return operator.index(j)
+        except TypeError:
+            pass
+    raise InvalidArgument(f"label {j!r} is not an integer")
+
+
 def _check_subset(J, n) -> tuple:
     """Validate J as a proper nonempty subset of {1..n}; return it sorted."""
-    J = tuple(sorted(set(int(j) for j in J)))
+    J = tuple(sorted(set(map(_label, J))))
     if not J:
         raise InvalidArgument("J must be nonempty")
     if J[0] < 1 or J[-1] > n:
@@ -533,7 +544,7 @@ class EpsilonAssignment:
         self.eps = {}
         if eps:
             for J, v in dict(eps).items():
-                self.eps[frozenset(int(j) for j in J)] = rational(v)
+                self.eps[frozenset(map(_label, J))] = rational(v)
         self.default = None if default is None else rational(default)
 
     @classmethod
@@ -541,7 +552,7 @@ class EpsilonAssignment:
         return cls(default=canonical_epsilon(r))
 
     def get(self, J) -> Fraction:
-        key = frozenset(int(j) for j in J)
+        key = frozenset(map(_label, J))
         if key in self.eps:
             return self.eps[key]
         if self.default is not None:

@@ -13,12 +13,9 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from . import cohomology, cone, realize, stable
+from . import cohomology, cone
 from .chambers import EpsilonAssignment, LengthVector, classify, rational
 from .errors import InvalidArgument, NonConvergence
-from .realize import Tolerances
 
 
 def parse_lengths(text: str) -> LengthVector:
@@ -53,7 +50,9 @@ def parse_eps(text, r: LengthVector) -> EpsilonAssignment:
     return EpsilonAssignment(entries)
 
 
-def parse_tols(pairs) -> Tolerances:
+def parse_tols(pairs):
+    from .realize import Tolerances
+
     tol = Tolerances()
     for item in pairs or []:
         try:
@@ -84,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, r=True, seed=False, eps=False, J=False, out_dot=False):
+    def common(sp, r=True, seed=False, eps=False, J=False, tol=False, out_dot=False):
         if r:
             sp.add_argument("--r", required=True, help="comma-separated rationals")
         if seed:
@@ -93,26 +92,27 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--eps", default="canonical", help='"canonical" or "1,2=1/2;..."')
         if J:
             sp.add_argument("--J", required=True, help="comma-separated 1-based labels")
-        sp.add_argument("--tol", action="append", metavar="NAME=VALUE")
+        if tol:
+            sp.add_argument("--tol", action="append", metavar="NAME=VALUE")
         if out_dot:
             sp.add_argument("--out", choices=["json", "dot"], default="json")
 
     common(sub.add_parser("classify", help="exact chamber report"))
 
     sp = sub.add_parser("realize", help="close a polygon and fix its gauge")
-    common(sp, seed=True)
+    common(sp, seed=True, tol=True)
     sp.add_argument("--parallel", help='force classes, e.g. "1,2,3|4,5"')
 
     sp = sub.add_parser("stabilize", help="bubble tree over a closed frame")
-    common(sp, seed=True, eps=True)
+    common(sp, seed=True, eps=True, tol=True)
     sp.add_argument("--parallel", help='force classes, e.g. "1,2,3|4,5"')
 
     sp = sub.add_parser("limit", help="bubble limit of a degenerating family")
-    common(sp, seed=True, eps=True, J=True)
+    common(sp, seed=True, eps=True, J=True, tol=True)
     sp.add_argument("--steps", type=int, default=12)
 
     sp = sub.add_parser("curve", help="combinatorial stable curve of a stable polygon")
-    common(sp, seed=True, eps=True, out_dot=True)
+    common(sp, seed=True, eps=True, tol=True, out_dot=True)
     sp.add_argument("--parallel", help='force classes, e.g. "1,2,3|4,5"')
 
     sp = sub.add_parser("strata", help="parallel-edge strata and their poset")
@@ -127,13 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, help="edge count (closed method)")
     sp.add_argument("--method", choices=["wallcross", "closed", "stable"], default="wallcross")
     sp.add_argument("--eps", default="canonical")
-    sp.add_argument("--tol", action="append", metavar="NAME=VALUE")
 
     sp = sub.add_parser("cone", help="sample the (r, eps) parameter cone")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--sample", type=int, default=10)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", action="append", metavar="NAME=VALUE")
 
     return p
 
@@ -143,13 +141,14 @@ def _options(args) -> dict:
 
 
 def _degenerate_or_close(r, classes, seed, tol):
+    from . import realize
+
     if classes:
         return realize.close_degenerate(r, classes, seed=seed, tol=tol.closure)
     return realize.close(r, seed=seed, tol=tol.closure)
 
 
 def run(args) -> int:
-    tol = parse_tols(getattr(args, "tol", None))
     cmd = args.command
 
     if cmd == "classify":
@@ -157,12 +156,18 @@ def run(args) -> int:
         emit(cmd, _options(args), classify(r).to_json())
 
     elif cmd == "realize":
+        from . import realize
+
+        tol = parse_tols(args.tol)
         r = parse_lengths(args.r)
         frame = _degenerate_or_close(r, parse_classes(args.parallel), args.seed, tol)
         frame = realize.canonicalize(frame, tol.angle)
         emit(cmd, _options(args), frame.to_json())
 
     elif cmd == "stabilize":
+        from . import stable
+
+        tol = parse_tols(args.tol)
         r = parse_lengths(args.r)
         eps = parse_eps(args.eps, r)
         frame = _degenerate_or_close(r, parse_classes(args.parallel), args.seed, tol)
@@ -170,6 +175,9 @@ def run(args) -> int:
         emit(cmd, _options(args), sp.to_json())
 
     elif cmd == "limit":
+        from . import stable
+
+        tol = parse_tols(args.tol)
         r = parse_lengths(args.r)
         J = parse_subset(args.J)
         eps = parse_eps(args.eps, r)
@@ -178,6 +186,9 @@ def run(args) -> int:
         emit(cmd, _options(args), bub.to_json())
 
     elif cmd == "curve":
+        from . import stable
+
+        tol = parse_tols(args.tol)
         r = parse_lengths(args.r)
         eps = parse_eps(args.eps, r)
         frame = _degenerate_or_close(r, parse_classes(args.parallel), args.seed, tol)
@@ -257,6 +268,10 @@ def _interpolating_family(r, J, seed, steps):
     Each J-edge turns about its own seeded axis by the Rodrigues formula; the
     cross and dot products with the base rows are formed once for all J rows.
     """
+    import numpy as np
+
+    from . import realize
+
     base = realize.close_degenerate(r, [J], seed=seed)
     rng = np.random.default_rng(seed + 1)
     axes = np.array([a / np.linalg.norm(a) for a in rng.normal(size=(len(J), 3))])

@@ -461,7 +461,10 @@ class DualCurve:
 
     def vertex(self, subset) -> CurveVertex:
         want = tuple(sorted(subset))
-        return next(v for v in self.vertices if v.subset == want)
+        for v in self.vertices:
+            if v.subset == want:
+                return v
+        raise InvalidArgument(f"no component of the curve has subset {list(want)}")
 
     def to_json(self):
         return {

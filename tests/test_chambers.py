@@ -269,6 +269,29 @@ def test_epsilon_assignment_default_bounded_by_twice_min():
         assert EpsilonAssignment.canonical(r).legal_for(r)
 
 
+@pytest.mark.parametrize("label", [1.7, 1.0, True, "a", None])
+def test_non_integer_labels_are_refused(label):
+    with pytest.raises(InvalidArgument, match="not an integer"):
+        wall_margin((1, 1, 1, 1, 1), (label, 2))
+    with pytest.raises(InvalidArgument, match="not an integer"):
+        epsilon_range((1, 2, 3, 4, 5), (label, 3))
+    with pytest.raises(InvalidArgument, match="not an integer"):
+        WallIndex((label, 3), 5)
+    with pytest.raises(InvalidArgument, match="not an integer"):
+        EpsilonAssignment({(label, 3): F(1, 2)})
+    with pytest.raises(InvalidArgument, match="not an integer"):
+        EpsilonAssignment(default=1).get((label, 3))
+
+
+def test_numpy_integer_labels_are_accepted():
+    np = pytest.importorskip("numpy")
+    J = (np.int64(1), np.int32(2))
+    assert wall_margin((1, 1, 1, 1, 1), J) == wall_margin((1, 1, 1, 1, 1), (1, 2))
+    assert WallIndex(np.array([1, 2]), 5).J == (1, 2)
+    eps = EpsilonAssignment({J: F(1, 2)})
+    assert eps.get((1, 2)) == eps.get(np.array([2, 1])) == F(1, 2)
+
+
 def test_augment_invariant_raises_internal_error(monkeypatch):
     monkeypatch.setattr(chambers, "is_favorable", lambda r, i: False)
     with pytest.raises(InternalError):

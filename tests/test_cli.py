@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from stablegons.cli import main
 
 
@@ -52,6 +54,22 @@ def test_domain_error_exit_code(capsys):
 def test_unknown_flag_rejected(capsys):
     code, _, _ = run_cli(capsys, "classify", "--r", "1,1,1", "--bogus", "1")
     assert code != 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--r", "1,1,1,1,3.5"],
+        ["strata", "--r", "1,1,1,1,3.5"],
+        ["schedule", "--r", "1,1,1,1,2"],
+        ["poincare", "--n", "6", "--method", "closed"],
+        ["cone", "--n", "5", "--sample", "1"],
+    ],
+)
+def test_tol_is_refused_where_no_tolerance_is_read(capsys, argv):
+    code, _, err = run_cli(capsys, *argv, "--tol", "closure=1e-9")
+    assert code == 2
+    assert "--tol" in err
 
 
 def test_realize_deterministic(capsys):

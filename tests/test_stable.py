@@ -321,6 +321,12 @@ class TestStableCurve:
         assert root.legs == (4, 5, 6) and root.n_special == 4
         assert bub.legs == (1, 2, 3) and bub.n_special == 4
 
+    def test_vertex_refuses_a_subset_that_is_no_component(self):
+        frame = close_degenerate(HEX_R, [(1, 2, 3)], seed=4)
+        curve = to_stable_curve(stabilize(frame, EpsilonAssignment.canonical(HEX_R)))
+        with pytest.raises(InvalidArgument, match=r"\[1, 2\]"):
+            curve.vertex((2, 1))
+
     def test_square_line_gon_path_tree(self):
         u = [[1, 0, 0], [1, 0, 0], [-1, 0, 0], [-1, 0, 0]]
         frame = EdgeFrame((1, 1, 1, 1), u)
