@@ -266,22 +266,6 @@ def _bubble_candidates(n: int) -> tuple:
     return tuple(out)
 
 
-def _light_sides(r: LengthVector, min_size: int = 2):
-    """(J, 2 sum_J ints - sum ints) for the light sides J, sorted by J.
-
-    Covers min_size <= |J| <= n-2 with a margin <= 0; the second entry is the
-    margin of J times `r.den`.
-    """
-    sums = r.subset_sums()
-    total = sums[-1]
-    lo = max(2, min_size)
-    return [
-        (J, 2 * sums[m] - total)
-        for m, J in _bubble_candidates(r.n)
-        if len(J) >= lo and 2 * sums[m] <= total
-    ]
-
-
 class ChamberSignature:
     """Sign of the wall margin at each canonical interior wall.
 
@@ -486,10 +470,17 @@ def relevant_subsets(r, min_size: int = 2, with_margins: bool = False):
     r = as_length_vector(r)
     if not r.in_cone_interior():
         raise InvalidArgument("r must lie in the interior of the polygon cone")
-    light = _light_sides(r, min_size)
+    sums = r.subset_sums()
+    total = sums[-1]
+    lo = max(2, min_size)
+    light = [
+        (m, J)
+        for m, J in _bubble_candidates(r.n)
+        if len(J) >= lo and 2 * sums[m] <= total
+    ]
     if with_margins:
-        return [(J, Fraction(d, r.den)) for J, d in light]
-    return [J for J, _ in light]
+        return [(J, Fraction(2 * sums[m] - total, r.den)) for m, J in light]
+    return [J for _, J in light]
 
 
 def epsilon_range(r, J) -> tuple:

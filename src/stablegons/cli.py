@@ -25,11 +25,16 @@ def parse_lengths(text: str) -> LengthVector:
         raise InvalidArgument(f"cannot parse --r {text!r}: {exc}") from None
 
 
-def parse_subset(text: str):
+def parse_labels(text: str, flag: str) -> tuple:
+    """Comma-separated integer labels; a bad token is an error naming `flag`."""
     try:
-        J = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
-        raise InvalidArgument(f"cannot parse --J {text!r}: {exc}") from None
+        raise InvalidArgument(f"cannot parse {flag} {text!r}: {exc}") from None
+
+
+def parse_subset(text: str):
+    J = parse_labels(text, "--J")
     if len(set(J)) != len(J):
         raise InvalidArgument(f"--J {text!r} repeats a label")
     return J
@@ -44,9 +49,10 @@ def parse_eps(text, r: LengthVector) -> EpsilonAssignment:
             continue
         try:
             key, val = chunk.split("=")
-            entries[tuple(int(t) for t in key.split(","))] = rational(val)
+            val = rational(val)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidArgument(f"cannot parse --eps chunk {chunk!r}: {exc}") from None
+        entries[parse_labels(key, "--eps")] = val
     return EpsilonAssignment(entries)
 
 
@@ -66,7 +72,7 @@ def parse_tols(pairs):
 def parse_classes(text):
     if not text:
         return []
-    return [tuple(int(t) for t in chunk.split(",")) for chunk in text.split("|")]
+    return [parse_labels(chunk, "--parallel") for chunk in text.split("|")]
 
 
 def emit(command: str, options: dict, result, out=None):

@@ -3,7 +3,9 @@
 Polygons with a prescribed pattern of parallel edges form strata indexed by
 set partitions of the edge labels: merging each block of a partition alpha
 into a single edge identifies the stratum with a smaller polygon space whose
-length vector r_alpha sums the block lengths.  The space of stable polygons
+length vector r_alpha sums the block lengths.  :func:`strata` enumerates the
+partitions as tuples of label bitmasks, least label first, and reads every
+block length from the subset-sum table of r.  The space of stable polygons
 sits over the ordinary one as an iterated blowup along the single-merged-block
 strata (walked from deepest to shallowest), which is what :func:`schedule`
 spells out; when line polygons are present they are resolved first.
@@ -170,26 +172,22 @@ class PoincarePoly:
 
 
 # ---------------------------------------------------------------------------
-# strata by set partitions
+# strata by set partitions of label bitmasks
 # ---------------------------------------------------------------------------
 
 
-def set_partitions(items):
-    """All set partitions of `items`, blocks and partitions in sorted form."""
-    items = list(items)
-    if not items:
+def _partitions(bits: int):
+    """All set partitions of the labels in bitmask `bits`, as tuples of block
+    masks ordered by least label: that label joins a block of a partition of
+    the others, which then comes first, or stands alone in front."""
+    if not bits:
         yield ()
         return
-    first, rest = items[0], items[1:]
-    for part in set_partitions(rest):
+    first = bits & -bits
+    for part in _partitions(bits ^ first):
         for i in range(len(part)):
-            yield tuple(
-                sorted(
-                    part[:i] + ((first,) + part[i],) + part[i + 1 :],
-                    key=lambda b: b[0],
-                )
-            )
-        yield tuple(sorted(part + ((first,),), key=lambda b: b[0]))
+            yield (part[i] | first,) + part[:i] + part[i + 1 :]
+        yield (first,) + part
 
 
 @dataclass
@@ -218,59 +216,58 @@ class Stratum:
         }
 
 
-def strata(r, include_empty: bool = False, include_trivial: bool = True):
+def strata(r, include_empty: bool = False):
     """All parallel-edge strata of the polygon space of r.
 
-    Returns (entries, edges): one :class:`Stratum` per set partition with at
-    least one merged block (plus the trivial all-singletons partition unless
-    suppressed), and the covering edges of the refinement order among the
-    returned partitions (beta covers alpha when merging two blocks of beta
-    gives alpha).  A closed stratum is nonempty when the merged vector is a
+    Returns (entries, edges): one :class:`Stratum` per set partition of the
+    labels, the trivial all-singletons one included, and the covering edges
+    of the refinement order among the returned partitions (beta covers alpha
+    when merging two blocks of beta gives alpha), as (alpha, beta) pairs of
+    block tuples.  A closed stratum is nonempty when the merged vector is a
     legal length vector; the open part additionally needs a strict interior
     vector and at least three blocks.  Expected dimension k-3 is reported
     verbatim, including the two-block case (a single line polygon).
+    Partitions run over label bitmasks, block sums over the subset-sum table.
     """
     r = as_length_vector(r)
     if not r.in_cone_interior():
         raise InvalidArgument("r must lie in the interior of the polygon cone")
-    total = sum(r.ints)
+    sums = r.subset_sums()
+    total = sums[-1]
+    # the sorted labels and the length of the block with mask m, indexed as sums
+    labels = [()]
+    for j in range(1, r.n + 1):
+        labels += [b + (j,) for b in labels]
+    lengths = [Fraction(s, r.den) for s in sums]
     entries = []
-    for blocks in set_partitions(range(1, r.n + 1)):
-        merged = tuple(b for b in blocks if len(b) >= 2)
-        if not merged and not include_trivial:
-            continue
-        sums = [sum(r.ints[j - 1] for j in b) for b in blocks]
-        k = len(blocks)
-        closed = k >= 2 and 2 * max(sums) <= total
-        open_ = k >= 3 and 2 * max(sums) < total
+    index = {}
+    for part in _partitions(len(sums) - 1):
+        k = len(part)
+        heavy = 2 * max(sums[m] for m in part)
+        closed = k >= 2 and heavy <= total
         if not closed and not include_empty:
             continue
+        blocks = tuple(labels[m] for m in part)
+        index[part] = blocks
         entries.append(
             Stratum(
                 blocks=blocks,
                 k=k,
                 dim=k - 3,
-                merged=merged,
+                merged=tuple(b for b in blocks if len(b) >= 2),
                 nonempty_closed=closed,
-                nonempty_open=open_,
-                r_alpha=tuple(Fraction(x, r.den) for x in sums),
+                nonempty_open=k >= 3 and heavy < total,
+                r_alpha=tuple(lengths[m] for m in part),
             )
         )
-    index = {e.blocks: e for e in entries}
     edges = []
-    for e in entries:
-        if e.k < 2:
-            continue
-        for i, j in itertools.combinations(range(e.k), 2):
-            fused = tuple(
-                sorted(
-                    tuple(sorted(e.blocks[i] + e.blocks[j])) if t == i else b
-                    for t, b in enumerate(e.blocks)
-                    if t != j
-                )
-            )
+    for part, blocks in index.items():
+        # fusing blocks i < j keeps the least-label order: the fused block
+        # inherits the least label of block i
+        for i, j in itertools.combinations(range(len(part)), 2):
+            fused = part[:i] + (part[i] | part[j],) + part[i + 1 : j] + part[j + 1 :]
             if fused in index:
-                edges.append((fused, e.blocks))
+                edges.append((index[fused], blocks))
     return entries, edges
 
 

@@ -267,7 +267,7 @@ def close_degenerate(r, classes, seed=None, tol: Optional[float] = None) -> Edge
     parallel class.
     """
     r = as_length_vector(r)
-    classes = [tuple(sorted(set(c))) for c in classes]
+    classes = [_check_subset(c, r.n) for c in classes]
     flat = [j for c in classes for j in c]
     if len(set(flat)) != len(flat):
         raise InvalidArgument("classes must be disjoint")

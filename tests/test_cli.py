@@ -175,6 +175,18 @@ def test_limit_rejects_repeated_label(capsys):
     assert "repeats a label" in err
 
 
+@pytest.mark.parametrize(
+    "classes, message",
+    [("1.5,2", "cannot parse --parallel"), ("1,9", "subset"), ("0,2", "subset")],
+)
+def test_realize_refuses_parallel_labels_outside_the_edges(capsys, classes, message):
+    code, out, err = run_cli(
+        capsys, "realize", "--r", "1,1,1,1,1", "--parallel", classes
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+
+
 def test_interpolating_family_matches_per_edge_rotation(monkeypatch):
     # the per-edge Rodrigues rotation with np.cross and np.dot is the
     # reference; the array form must give the same frames, bit for bit

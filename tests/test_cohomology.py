@@ -20,17 +20,78 @@ from stablegons.chambers import (
 from stablegons.cohomology import (
     BlowupStep,
     PoincarePoly,
+    Stratum,
     ih_poincare_center,
     poincare_center,
     poincare_wall_crossing,
     schedule,
-    set_partitions,
     stable_betti,
     strata,
 )
 from stablegons.errors import InvalidArgument, RangeError
 
 F = Fraction
+
+
+def set_partitions(items):
+    """All set partitions of `items`, blocks and partitions in sorted form."""
+    items = list(items)
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for i in range(len(part)):
+            yield tuple(
+                sorted(
+                    part[:i] + ((first,) + part[i],) + part[i + 1 :],
+                    key=lambda b: b[0],
+                )
+            )
+        yield tuple(sorted(part + ((first,),), key=lambda b: b[0]))
+
+
+def reference_strata(r, include_empty=False):
+    """The sorted-tuple enumeration of strata that the bitmask one replaced,
+    kept as its reference; the trivial partition is always returned."""
+    r = LengthVector(r)
+    total = sum(r.ints)
+    entries = []
+    for blocks in set_partitions(range(1, r.n + 1)):
+        merged = tuple(b for b in blocks if len(b) >= 2)
+        sums = [sum(r.ints[j - 1] for j in b) for b in blocks]
+        k = len(blocks)
+        closed = k >= 2 and 2 * max(sums) <= total
+        open_ = k >= 3 and 2 * max(sums) < total
+        if not closed and not include_empty:
+            continue
+        entries.append(
+            Stratum(
+                blocks=blocks,
+                k=k,
+                dim=k - 3,
+                merged=merged,
+                nonempty_closed=closed,
+                nonempty_open=open_,
+                r_alpha=tuple(Fraction(x, r.den) for x in sums),
+            )
+        )
+    index = {e.blocks: e for e in entries}
+    edges = []
+    for e in entries:
+        if e.k < 2:
+            continue
+        for i, j in itertools.combinations(range(e.k), 2):
+            fused = tuple(
+                sorted(
+                    tuple(sorted(e.blocks[i] + e.blocks[j])) if t == i else b
+                    for t, b in enumerate(e.blocks)
+                    if t != j
+                )
+            )
+            if fused in index:
+                edges.append((fused, e.blocks))
+    return entries, edges
 
 
 def brute_strata_counts(r):
@@ -195,6 +256,25 @@ class TestStrata:
             lookup = {j: i for i, b in enumerate(alpha) for j in b}
             for b in beta:
                 assert len({lookup[j] for j in b}) == 1
+
+    def test_matches_sorted_tuple_reference(self):
+        # every field of every entry and every edge, in order; n = 8 is drawn
+        # only twice to keep the sorted-tuple reference cheap
+        rng = random.Random(20270)
+        for i, n in enumerate((3, 4, 5, 6) * 6 + (7,) * 4 + (8,) * 2):
+            include_empty = i % 2 == 1
+            while True:
+                r = LengthVector(
+                    [F(rng.randint(1, rng.choice((3, 12, 97))), rng.choice((1, 2, 7)))
+                     for _ in range(n)]
+                )
+                if r.in_cone_interior():
+                    break
+            want = reference_strata(r, include_empty)
+            assert strata(r, include_empty) == want, (r, include_empty)
+
+    def test_set_partitions_is_gone(self):
+        assert not hasattr(cohomology, "set_partitions")
 
 
 class TestSchedule:

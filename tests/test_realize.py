@@ -341,6 +341,11 @@ class TestParallelClasses:
         assert is_line_gon(frame)
         assert parallel_classes(frame) == [[1, 2, 3], [4, 5]]
 
+    @pytest.mark.parametrize("cls", [(0, 2), (-1, 2), (5, 6), (True, 2)])
+    def test_class_outside_the_labels_is_refused(self, cls):
+        with pytest.raises(InvalidArgument):
+            close_degenerate([1] * 5, [cls], seed=0)
+
 
 def pair_angle(a, b):
     return float(np.arctan2(np.linalg.norm(np.cross(a, b)), np.dot(a, b)))
