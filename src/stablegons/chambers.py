@@ -70,16 +70,16 @@ def rational(x) -> Fraction:
     """Coerce x to an exact Fraction.
 
     Strings are parsed exactly ("3.5" means 7/2); floats are taken at their
-    exact binary64 value.
+    exact binary64 value.  Bools, infinities, NaNs and strings that name no
+    finite rational raise InvalidArgument.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
+    if isinstance(x, (int, str, float)) and not isinstance(x, bool):
+        try:
+            return Fraction(x)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            pass
     raise InvalidArgument(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -89,21 +89,23 @@ class LengthVector:
     All entries must be positive; whether the vector lies in the interior of
     the polygon cone is reported by :meth:`in_cone_interior`, not enforced.
     The same lengths are also kept as the integers `ints` over the common
-    denominator `den`, so r_i = ints[i-1] / den.
+    denominator `den`, so r_i = ints[i-1] / den, and as floats by
+    :meth:`floats`.
     """
 
-    __slots__ = ("r", "ints", "den", "_sums")
+    __slots__ = ("r", "ints", "den", "_sums", "_floats")
 
     def __init__(self, lengths: Iterable):
         r = tuple(rational(x) for x in lengths)
         if len(r) < 2:
             raise InvalidArgument("a length vector needs at least 2 entries")
-        if any(x <= 0 for x in r):
+        if min(x.numerator for x in r) <= 0:
             raise InvalidArgument("all side lengths must be positive")
         self.r = r
         self.den = lcm(*(x.denominator for x in r))
         self.ints = tuple(x.numerator * (self.den // x.denominator) for x in r)
         self._sums = None
+        self._floats = None
 
     @property
     def n(self) -> int:
@@ -121,6 +123,17 @@ class LengthVector:
                 sums += [s + v for s in sums]
             self._sums = sums
         return self._sums
+
+    def floats(self) -> tuple:
+        """The lengths as floats, built on first use and kept.
+
+        Each is ints[i] / den; int true division rounds correctly, so it is
+        float(r_i) bit for bit.
+        """
+        if self._floats is None:
+            den = self.den
+            self._floats = tuple(i / den for i in self.ints)
+        return self._floats
 
     def perimeter(self) -> Fraction:
         return Fraction(sum(self.ints), self.den)
@@ -181,15 +194,18 @@ def _label(j) -> int:
     raise InvalidArgument(f"label {j!r} is not an integer")
 
 
-def _check_subset(J, n) -> tuple:
-    """Validate J as a proper nonempty subset of {1..n}; return it sorted."""
+def _check_subset(J, n, name: str = "J") -> tuple:
+    """Validate J as a proper nonempty subset of {1..n}; return it sorted.
+
+    Refusals call the subset `name`.
+    """
     J = tuple(sorted(set(map(_label, J))))
     if not J:
-        raise InvalidArgument("J must be nonempty")
+        raise InvalidArgument(f"{name} must be nonempty")
     if J[0] < 1 or J[-1] > n:
-        raise InvalidArgument(f"J={J} is not a subset of {{1..{n}}}")
+        raise InvalidArgument(f"{name}={J} is not a subset of {{1..{n}}}")
     if len(J) >= n:
-        raise InvalidArgument("J must be a proper subset")
+        raise InvalidArgument(f"{name} must be a proper subset")
     return J
 
 
@@ -489,15 +505,16 @@ def epsilon_range(r, J) -> tuple:
     J = _check_subset(J, r.n)
     if not (2 <= len(J) <= r.n - 2):
         raise InvalidArgument(f"|J|={len(J)} cannot index a bubble")
-    if wall_margin(r, J) > 0:
+    ints = r.ints
+    if 2 * sum(ints[j - 1] for j in J) > sum(ints):
         raise InvalidArgument(f"J={list(J)} is not relevant for this r")
-    return (Fraction(0), 2 * min(r.r[j - 1] for j in J))
+    return (Fraction(0), Fraction(2 * min(ints[j - 1] for j in J), r.den))
 
 
 def canonical_epsilon(r) -> Fraction:
     """The canonical slack min_i r_i, legal for every relevant subset."""
     r = as_length_vector(r)
-    return min(r.r)
+    return Fraction(min(r.ints), r.den)
 
 
 def augment(r, J, eps_J) -> LengthVector:

@@ -21,7 +21,7 @@ from .errors import InvalidArgument, NonConvergence
 def parse_lengths(text: str) -> LengthVector:
     try:
         return LengthVector(rational(tok) for tok in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise InvalidArgument(f"cannot parse --r {text!r}: {exc}") from None
 
 
@@ -50,7 +50,7 @@ def parse_eps(text, r: LengthVector) -> EpsilonAssignment:
         try:
             key, val = chunk.split("=")
             val = rational(val)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise InvalidArgument(f"cannot parse --eps chunk {chunk!r}: {exc}") from None
         entries[parse_labels(key, "--eps")] = val
     return EpsilonAssignment(entries)
@@ -280,7 +280,7 @@ def _interpolating_family(r, J, seed, steps):
 
     base = realize.close_degenerate(r, [J], seed=seed)
     rng = np.random.default_rng(seed + 1)
-    axes = np.array([a / np.linalg.norm(a) for a in rng.normal(size=(len(J), 3))])
+    axes = np.array([a / realize._norm(a) for a in rng.normal(size=(len(J), 3))])
     idx = [j - 1 for j in J]
     v = base.u[idx]
     swing = axes[:, [1, 2, 0]] * v[:, [2, 0, 1]] - axes[:, [2, 0, 1]] * v[:, [1, 2, 0]]

@@ -26,6 +26,13 @@ b with the Jacobian in closed form.  This realizes the canonical
 identification between polygon spaces whose length vectors share a chamber,
 and powers the incidence test :func:`incidence` that ties a bubble candidate
 to the sub-polygon it should shadow.
+
+An :class:`EdgeFrame` is read-only, so what is derived from it alone is
+computed once and kept on it: its residual, and its parallel classes for each
+angle tolerance asked (:func:`parallel_classes`).  Its float lengths are the
+kept shadow :meth:`LengthVector.floats` of its exact lengths.  Norms of real
+arrays are formed by :func:`_norm` and :func:`_norms`, the operations
+np.linalg.norm runs for real input without its per-call dispatch.
 """
 
 from __future__ import annotations
@@ -88,31 +95,56 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a real vector: np.linalg.norm's own sqrt(v . v).
+
+    np.linalg.norm first copies a strided vector into a contiguous one, so
+    the two agree bit for bit on contiguous vectors and on 3-vectors, the
+    only ones passed here.
+    """
+    return math.sqrt(v.dot(v))
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Norms of the last-axis rows of a real array, as np.linalg.norm(axis=-1)."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
 class EdgeFrame:
-    """A polygon: exact lengths, float shadows, unit directions.
+    """A polygon: exact lengths, float shadows, unit directions; read-only.
 
     `labels` names the edges; plain polygons carry (1, ..., n) and sub-polygon
     or bubble frames carry the original labels plus FREE_EDGE (= 0) for the
-    closing edge.
+    closing edge.  The frame copies the directions it is given, freezes `u`
+    and `r`, and refuses attribute assignment, so the residual and the
+    parallel classes, computed on first use, are kept on it and never go
+    stale.
     """
 
-    __slots__ = ("lengths", "r", "u", "labels")
+    __slots__ = ("lengths", "r", "u", "labels", "_residual", "_classes")
 
     def __init__(self, lengths, u, labels=None):
-        self.lengths = as_length_vector(lengths)
-        self.r = np.array([float(x) for x in self.lengths.r], dtype=float)
-        u = np.asarray(u, dtype=float)
-        if u.shape != (len(self.r), 3):
-            raise InvalidArgument(f"direction array must be ({len(self.r)}, 3)")
-        norms = np.linalg.norm(u, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= 1e-12):
+        lengths = as_length_vector(lengths)
+        r = np.array(lengths.floats())
+        u = np.array(u, dtype=float)
+        if u.shape != (len(r), 3):
+            raise InvalidArgument(f"direction array must be ({len(r)}, 3)")
+        if not np.all(np.abs(_norms(u) - 1.0) <= 1e-12):
             raise InvalidArgument("directions must be unit vectors (within 1e-12)")
-        self.u = u
-        if labels is None:
-            labels = tuple(range(1, len(self.r) + 1))
-        self.labels = tuple(labels)
-        if len(self.labels) != len(self.r):
+        labels = tuple(range(1, len(r) + 1)) if labels is None else tuple(labels)
+        if len(labels) != len(r):
             raise InvalidArgument("one label per edge required")
+        r.flags.writeable = False
+        u.flags.writeable = False
+        for name, value in zip(self.__slots__, (lengths, r, u, labels, None, {})):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"EdgeFrame is read-only: cannot set {name}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which assignment refuses
+        return EdgeFrame, (self.lengths, self.u, self.labels)
 
     @property
     def n(self) -> int:
@@ -123,7 +155,9 @@ class EdgeFrame:
 
     @property
     def residual(self) -> float:
-        return float(np.linalg.norm(self.closing_sum()))
+        if self._residual is None:
+            object.__setattr__(self, "_residual", _norm(self.closing_sum()))
+        return self._residual
 
     def is_closed(self, tol: float = DEFAULT_TOL.closure) -> bool:
         return self.residual <= tol
@@ -137,13 +171,10 @@ class EdgeFrame:
     def rotated(self, R: np.ndarray) -> "EdgeFrame":
         return EdgeFrame(self.lengths, self.u @ R.T, self.labels)
 
-    def copy(self) -> "EdgeFrame":
-        return EdgeFrame(self.lengths, self.u.copy(), self.labels)
-
     def to_json(self):
         return {
-            "r": [float(x) for x in self.r],
-            "u": [[float(c) for c in row] for row in self.u],
+            "r": self.r.tolist(),
+            "u": self.u.tolist(),
             "residual": self.residual,
         }
 
@@ -152,7 +183,7 @@ class EdgeFrame:
 
 
 def _unit_rows(u: np.ndarray) -> np.ndarray:
-    return u / np.linalg.norm(u, axis=1, keepdims=True)
+    return u / _norms(u)[:, None]
 
 
 def _rng(seed) -> np.random.Generator:
@@ -231,7 +262,7 @@ def close(r, seed=None, hints=None, tol: Optional[float] = None) -> EdgeFrame:
         )
     if tol is None:
         tol = DEFAULT_TOL.closure
-    rf = np.array([float(x) for x in r.r], dtype=float)
+    rf = np.array(r.floats())
     if hints is not None:
         h = np.asarray(hints, dtype=float)
         if h.shape != (r.n, 3):
@@ -242,7 +273,7 @@ def close(r, seed=None, hints=None, tol: Optional[float] = None) -> EdgeFrame:
         if not np.all(np.isfinite(top) & (top > 0)):
             raise InvalidArgument("hint directions must be finite and nonzero")
         u = _unit_rows(h / top[:, None])
-        if np.linalg.norm(rf @ u) > tol:
+        if _norm(rf @ u) > tol:
             u = _rebalance(u, rf, tol)
     else:
         u = _fan_directions(rf, _rng(seed))
@@ -267,7 +298,7 @@ def close_degenerate(r, classes, seed=None, tol: Optional[float] = None) -> Edge
     parallel class.
     """
     r = as_length_vector(r)
-    classes = [_check_subset(c, r.n) for c in classes]
+    classes = [_check_subset(c, r.n, "parallel class") for c in classes]
     flat = [j for c in classes for j in c]
     if len(set(flat)) != len(flat):
         raise InvalidArgument("classes must be disjoint")
@@ -307,15 +338,15 @@ def _cross(a: np.ndarray, b: np.ndarray) -> tuple:
 
 def _gauge(u: np.ndarray, tol: float) -> np.ndarray:
     """Directions u read in the basis of :func:`canonicalize`, rows re-unitized."""
-    e1 = u[0] / np.linalg.norm(u[0])
+    e1 = u[0] / _norm(u[0])
     perp = u[1:] - np.outer(u[1:] @ e1, e1)
-    norms = np.linalg.norm(perp, axis=1)
+    norms = _norms(perp)
     far = np.flatnonzero(norms > tol)
     if far.size:
         e2 = perp[far[0]] / norms[far[0]]
     else:
         e2 = np.array(_cross(e1, np.eye(3)[np.argmin(np.abs(e1))]))
-        e2 /= np.linalg.norm(e2)
+        e2 /= _norm(e2)
     basis = np.array([e1, e2, _cross(e1, e2)])
     return _unit_rows(u @ basis.T)
 
@@ -345,7 +376,7 @@ def diagonal(frame: EdgeFrame, J) -> tuple:
     J = _check_subset(J, max(frame.labels))
     idx = [frame.index_of(j) for j in J]
     d = -np.sum(frame.r[idx, None] * frame.u[idx], axis=0)
-    return d, float(np.linalg.norm(d))
+    return d, _norm(d)
 
 
 def _pair_angles(u: np.ndarray) -> np.ndarray:
@@ -358,7 +389,7 @@ def _pair_angles(u: np.ndarray) -> np.ndarray:
     """
     a, b = u[:, [1, 2, 0]], u[:, [2, 0, 1]]
     cross = a[:, None] * b[None] - b[:, None] * a[None]
-    return np.arctan2(np.linalg.norm(cross, axis=-1), u @ u.T)
+    return np.arctan2(_norms(cross), u @ u.T)
 
 
 def _find(parent: list, i: int) -> int:
@@ -400,7 +431,8 @@ def parallel_classes(frame: EdgeFrame, tol: Optional[float] = None):
     Edges are grouped when their directions agree within `tol` radians;
     opposite directions are never grouped.  The relation is closed
     transitively, so near-chains collapse into one class.  Every pairwise
-    angle is read from one angle matrix per call.
+    angle is read from one angle matrix.  The classes are kept on the frame
+    per `tol`, and every call returns fresh lists.
 
     Coupling with diagonal lengths: a class of edges spread over at most
     theta radians loses at most sum_J r_j * theta^2 / 8 of diagonal length,
@@ -408,8 +440,12 @@ def parallel_classes(frame: EdgeFrame, tol: Optional[float] = None):
     """
     if tol is None:
         tol = DEFAULT_TOL.angle
-    groups = _angle_groups(_pair_angles(frame.u), tol)
-    return sorted(sorted(frame.labels[i] for i in g) for g in groups)
+    classes = frame._classes.get(tol)
+    if classes is None:
+        groups = _angle_groups(_pair_angles(frame.u), tol)
+        classes = tuple(sorted(tuple(sorted(frame.labels[i] for i in g)) for g in groups))
+        frame._classes[tol] = classes
+    return [list(c) for c in classes]
 
 
 def is_line_gon(frame: EdgeFrame, tol: Optional[float] = None) -> bool:
@@ -608,7 +644,7 @@ def _rebalance(u: np.ndarray, weights: np.ndarray, tol: float) -> np.ndarray:
     F = weights @ x
     total = float(np.sum(weights))
     target = tol * min(1.0, 1e-2 * max(1.0, total))
-    start = float(np.linalg.norm(F))
+    start = _norm(F)
     if start > target:
         w = weights.tolist()
         near = np.abs(x @ x.T) > 0.99
@@ -626,7 +662,7 @@ def _rebalance(u: np.ndarray, weights: np.ndarray, tol: float) -> np.ndarray:
                 residual=start,
             )
     for _ in range(100):
-        base = float(np.linalg.norm(F))
+        base = _norm(F)
         if base <= target:
             return x
         J = _balance_jacobian(x, weights)
@@ -637,20 +673,20 @@ def _rebalance(u: np.ndarray, weights: np.ndarray, tol: float) -> np.ndarray:
         if np.linalg.det(J) <= np.finfo(float).eps * (2.0 * total) ** 3:
             break
         b = np.linalg.solve(J, -F)
-        b *= min(1.0, 0.5 / float(np.linalg.norm(b)))
+        b *= min(1.0, 0.5 / _norm(b))
         t = 1.0
         for _ in range(40):
             moved = _unit_rows(_boost(x, t * b))
             Fm = weights @ moved
-            if float(np.linalg.norm(Fm)) < base * (1.0 - 1e-4 * t):
+            if _norm(Fm) < base * (1.0 - 1e-4 * t):
                 x, F = moved, Fm
                 break
             t *= 0.5
         else:
             break
     raise NonConvergence(
-        f"conformal rebalancing stalled at residual {np.linalg.norm(F):.3e}",
-        residual=float(np.linalg.norm(F)),
+        f"conformal rebalancing stalled at residual {_norm(F):.3e}",
+        residual=_norm(F),
     )
 
 
@@ -690,7 +726,7 @@ def transport(
             "source and target closing lengths lie in different chambers; "
             "the canonical identification is only defined within one"
         )
-    weights = np.array([float(x) for x in target.r])
+    weights = np.array(target.floats())
     u = _rebalance(frame.u, weights, tol.closure)
     out = EdgeFrame(target, u, frame.labels)
     if out.residual > tol.closure:

@@ -54,6 +54,7 @@ from .realize import (
     Tolerances,
     _find,
     _marks,
+    _norm,
     close,
     diagonal,
     parallel_classes,
@@ -225,11 +226,9 @@ def validate(
                 want = augment(sp.root_r, nd.subset, eps)
             # exact first; the float comparison only when the rationals differ
             ok = nd.frame.lengths == want or np.allclose(
-                nd.frame.r, [float(x) for x in want.r], rtol=0, atol=1e-9
+                nd.frame.r, want.floats(), rtol=0, atol=1e-9
             )
-            detail = "" if ok else (
-                f"expected {[float(x) for x in want.r]}, got {list(nd.frame.r)}"
-            )
+            detail = "" if ok else f"expected {list(want.floats())}, got {list(nd.frame.r)}"
         except InvalidArgument as exc:
             ok, detail = False, str(exc)
         checks.append(Check("lengths", tag, bool(ok), detail))
@@ -294,14 +293,14 @@ def _child_seed(filler, J) -> np.random.Generator:
 
 def _triangle_frame(lengths: LengthVector, labels) -> EdgeFrame:
     """The rigid triangle with the given exact side lengths, planar."""
-    a, b, c = (float(x) for x in lengths.r)
+    a, b, c = lengths.floats()
     cos_t = (c * c - a * a - b * b) / (2 * a * b)
     cos_t = min(1.0, max(-1.0, cos_t))
     sin_t = np.sqrt(max(0.0, 1.0 - cos_t * cos_t))
     u1 = np.array([1.0, 0.0, 0.0])
     u2 = np.array([cos_t, sin_t, 0.0])
     tip = a * u1 + b * u2
-    u3 = -tip / np.linalg.norm(tip)
+    u3 = -tip / _norm(tip)
     return EdgeFrame(lengths, [u1, u2, u3], labels)
 
 
@@ -501,7 +500,7 @@ def _collapsed_marks(node: StableNode, tol: Tolerances) -> Optional[ModuliPoint]
     for c in node.children:
         idx = [frame.index_of(j) for j in c.subset]
         v = np.sum(frame.r[idx, None] * frame.u[idx], axis=0)
-        dirs.append(v / np.linalg.norm(v))
+        dirs.append(v / _norm(v))
     # validate fixes the labels: 1..n at the root, J then FREE_EDGE on a
     # bubble, so the closing edge comes after the loose labels
     dirs += [frame.u[i] for i, lab in enumerate(frame.labels) if lab not in taken]

@@ -179,6 +179,47 @@ def test_epsilon_range_examples():
         epsilon_range(("1", "1", "1", "1", "3.5"), (1, 5))
 
 
+@pytest.mark.parametrize(
+    "bad", [float("inf"), float("-inf"), float("nan"), "nan", "inf", "abc", "1/0", True]
+)
+def test_unreadable_lengths_raise_invalid_argument(bad):
+    with pytest.raises(InvalidArgument):
+        chambers.rational(bad)
+    with pytest.raises(InvalidArgument):
+        LengthVector([1, 1, bad])
+    with pytest.raises(InvalidArgument):
+        augment([1] * 5, (1, 2), bad)
+    with pytest.raises(InvalidArgument):
+        EpsilonAssignment(default=bad)
+    with pytest.raises(InvalidArgument):
+        EpsilonAssignment({(1, 2): bad})
+
+
+def test_float_shadow_is_float_of_each_length():
+    # large coprime denominators, so the common denominator is huge and
+    # ints[i] / den rounds from far more bits than either part of r_i
+    rng = random.Random(15)
+    for n in range(2, 13):
+        exact = [F(rng.randint(1, 10**30), rng.randint(1, 10**25)) for _ in range(n)]
+        exact[0] = F(rng.randint(1, 10**6), 3**40)
+        lv = LengthVector(exact)
+        assert [x.hex() for x in lv.floats()] == [float(x).hex() for x in exact]
+        assert lv.floats() is lv.floats()
+
+
+def test_slack_bounds_match_fraction_reference():
+    rng = random.Random(16)
+    for k, exact, raw in _table_cases(count=40, seed=16):
+        assert canonical_epsilon(raw) == min(exact)
+        ref = _reference(exact)
+        for J, _ in rng.sample(ref["light"], min(10, len(ref["light"]))):
+            assert epsilon_range(raw, J) == (0, 2 * min(exact[j - 1] for j in J))
+        heavy = [J for J, m in ref["margin"].items() if 2 <= len(J) <= len(exact) - 2 and m > 0]
+        for J in heavy[:5]:
+            with pytest.raises(InvalidArgument, match="not relevant"):
+                epsilon_range(raw, J)
+
+
 def test_augment_examples():
     out = augment(LengthVector([1] * 6), (1, 2, 3), 1)
     assert out.r == (1, 1, 1, 2)

@@ -187,6 +187,23 @@ def test_realize_refuses_parallel_labels_outside_the_edges(capsys, classes, mess
     assert err.startswith("error:") and message in err
 
 
+def test_realize_names_the_parallel_class_it_refuses(capsys):
+    code, out, err = run_cli(capsys, "realize", "--r", "1,1,1,1,1", "--parallel", "1,9")
+    assert code == 2 and out == ""
+    assert err.startswith("error: parallel class=(1, 9) is not a subset of {1..5}")
+    assert "J=" not in err
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan", "1/0", "abc"])
+def test_unreadable_lengths_exit_2(capsys, bad):
+    code, out, err = run_cli(capsys, "classify", "--r", f"1,1,{bad}")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot parse --r '1,1,{bad}'")
+    code, out, err = run_cli(capsys, "stabilize", "--r", "1,1,1,1,1", "--eps", f"1,2={bad}")
+    assert code == 2 and out == ""
+    assert "cannot parse --eps" in err
+
+
 def test_interpolating_family_matches_per_edge_rotation(monkeypatch):
     # the per-edge Rodrigues rotation with np.cross and np.dot is the
     # reference; the array form must give the same frames, bit for bit

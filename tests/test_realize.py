@@ -5,7 +5,7 @@ import pytest
 from fractions import Fraction
 
 import stablegons.realize as realize
-from stablegons.chambers import LengthVector
+from stablegons.chambers import EpsilonAssignment, LengthVector
 from stablegons.errors import (
     ChamberMismatch,
     InvalidArgument,
@@ -16,6 +16,8 @@ from stablegons.realize import (
     EdgeFrame,
     _balance_jacobian,
     _boost,
+    _norm,
+    _norms,
     canonicalize,
     close,
     close_degenerate,
@@ -29,6 +31,7 @@ from stablegons.realize import (
     transport,
     Tolerances,
 )
+from stablegons.stable import stabilize, to_stable_curve
 
 F = Fraction
 
@@ -52,6 +55,80 @@ class TestEdgeFrame:
     def test_nan_direction_rejected(self):
         with pytest.raises(InvalidArgument):
             EdgeFrame((1, 1, 1), [[np.nan, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+    def test_frame_is_read_only(self):
+        frame = close([1] * 5, seed=3)
+        residual = frame.residual
+        with pytest.raises(ValueError):
+            frame.u[0] = (1.0, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            frame.r[0] = 2.0
+        for name in ("u", "r", "lengths", "labels"):
+            with pytest.raises(AttributeError):
+                setattr(frame, name, getattr(frame, name))
+        assert frame.residual == residual
+
+    def test_source_array_stays_writeable_and_unaliased(self):
+        src = np.array(SQUARE_HINTS, dtype=float)
+        frame = EdgeFrame((1, 1, 1, 1), src)
+        assert src.flags.writeable and not np.shares_memory(src, frame.u)
+        assert frame.residual == 0.0
+        src[0] = (0.0, 0.0, 1.0)
+        assert frame.u[0].tolist() == [1.0, 0.0, 0.0]
+        assert frame.residual == 0.0
+        # a frame built on another frame's frozen rows owns a fresh copy
+        again = EdgeFrame(frame.lengths, frame.u, frame.labels)
+        assert not np.shares_memory(again.u, frame.u)
+        assert np.array_equal(again.u, frame.u)
+
+    def test_copies_and_pickles_rebuild_a_frozen_frame(self):
+        import copy
+        import pickle
+
+        frame = close_degenerate((1, 1, 1, 2, 2, 2), [(1, 2, 3)], seed=1)
+        classes = parallel_classes(frame)
+        for other in (copy.copy(frame), copy.deepcopy(frame), pickle.loads(pickle.dumps(frame))):
+            assert np.array_equal(other.u, frame.u) and not other.u.flags.writeable
+            assert other.lengths == frame.lengths and other.labels == frame.labels
+            assert other.residual == frame.residual
+            assert parallel_classes(other) == classes
+
+    def test_copy_is_gone(self):
+        assert not hasattr(EdgeFrame, "copy")
+
+    def test_norm_helpers_match_np_linalg_norm(self):
+        # rows of every scale from 1e-8 to 1e8, bit for bit
+        rng = np.random.default_rng(15)
+        for _ in range(300):
+            n = int(rng.integers(1, 13))
+            x = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-8, 8, size=(n, 1))
+            assert np.array_equal(_norms(x), np.linalg.norm(x, axis=-1))
+            for v in list(x) + list(np.asfortranarray(x)):
+                assert _norm(v) == np.linalg.norm(v)
+            y = rng.normal(size=(n, n, 3)) * 10.0 ** rng.uniform(-8, 8, size=(n, n, 1))
+            assert np.array_equal(_norms(y), np.linalg.norm(y, axis=-1))
+
+    def test_no_real_norm_goes_through_np_linalg_norm(self, monkeypatch):
+        # np.linalg.norm is left to the complex marked-point arrays
+        calls = []
+        norm = np.linalg.norm
+
+        def spy(x, *args, **kwargs):
+            calls.append(np.iscomplexobj(x))
+            return norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", spy)
+        frame = close((1, 1, 1, 2, 2, 2), seed=4)
+        moduli_point(canonicalize(frame))
+        transport(transport(frame, F(5, 2)), 2)
+        close((1, 1, 1, 2, 2, 2), hints=frame.u + 0.01)
+        degenerate = close_degenerate((1, 1, 1, 2, 2, 2), [(1, 2, 3)], seed=1)
+        subpolygon(degenerate, (4, 5))
+        # a pair class adds a rigid triangle; the curve fuses the classes
+        pair = close_degenerate((1, 1, 1, 2, 2, 2), [(1, 2), (4, 5)], seed=1)
+        sp = stabilize(pair, EpsilonAssignment.canonical(pair.lengths), filler=2)
+        to_stable_curve(sp)
+        assert calls and all(calls)
 
 
 class TestClose:
@@ -346,6 +423,31 @@ class TestParallelClasses:
         with pytest.raises(InvalidArgument):
             close_degenerate([1] * 5, [cls], seed=0)
 
+    def test_class_outside_the_labels_is_named_a_parallel_class(self):
+        with pytest.raises(InvalidArgument, match=r"parallel class=\(1, 9\)"):
+            close_degenerate([1] * 5, [(1, 9)], seed=0)
+
+    def test_kept_classes_come_back_as_fresh_lists(self, monkeypatch):
+        frame = close_degenerate((1, 1, 1, 2, 2, 2), [(1, 2, 3)], seed=1)
+        first = parallel_classes(frame)
+        first[0].append(99)
+        first.append([7])
+        # the angle matrix is not formed again for a tolerance already asked
+        monkeypatch.setattr(realize, "_pair_angles", None)
+        assert parallel_classes(frame) == [[1, 2, 3], [4], [5], [6]]
+        assert parallel_classes(frame) is not parallel_classes(frame)
+
+    def test_each_tolerance_gets_its_own_classes(self):
+        # edges 1 and 2 are 1e-6 rad apart: one class at 1e-5, two at 1e-8
+        a = 1e-6
+        u = [[1, 0, 0], [math.cos(a), math.sin(a), 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]]
+        frame = EdgeFrame((1, 1, 2, 1, 1), u)
+        for tol in (1e-8, 1e-5, 1e-8, None, 1e-5):
+            want = reference_classes(frame, 1e-8 if tol is None else tol)
+            assert parallel_classes(frame, tol) == want
+        assert parallel_classes(frame, 1e-5)[0] == [1, 2]
+        assert parallel_classes(frame, 1e-8)[0] == [1]
+
 
 def pair_angle(a, b):
     return float(np.arctan2(np.linalg.norm(np.cross(a, b)), np.dot(a, b)))
@@ -564,6 +666,11 @@ class TestTransport:
             for k, e in enumerate(np.eye(3)):
                 fd[:, k] = (w @ _boost(x, h * e) - w @ _boost(x, -h * e)) / (2 * h)
             assert np.allclose(_balance_jacobian(x, w), fd, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("target", [float("nan"), float("inf"), "abc", True])
+    def test_unreadable_target_length_is_refused(self, target):
+        with pytest.raises(InvalidArgument):
+            transport(close((1, 1, 1, 1), seed=0), target)
 
     def test_chamber_mismatch_rejected(self):
         frame = close([1, 1, 1, F(3, 2)], seed=4)
