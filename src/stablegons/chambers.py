@@ -158,9 +158,6 @@ class LengthVector:
     def subset_sum(self, J: Iterable[int]) -> Fraction:
         return Fraction(sum(self.ints[j - 1] for j in J), self.den)
 
-    def multiset(self) -> tuple:
-        return tuple(sorted(self.r))
-
     def __len__(self):
         return len(self.r)
 
@@ -184,14 +181,14 @@ def as_length_vector(r) -> LengthVector:
     return r if isinstance(r, LengthVector) else LengthVector(r)
 
 
-def _label(j) -> int:
-    """An edge label as a plain int; bools, floats and strings are refused."""
+def _label(j, name: str = "label") -> int:
+    """A label or another index as a plain int; bools, floats, strings refused."""
     if not isinstance(j, bool):
         try:
             return operator.index(j)
         except TypeError:
             pass
-    raise InvalidArgument(f"label {j!r} is not an integer")
+    raise InvalidArgument(f"{name} {j!r} is not an integer")
 
 
 def _check_subset(J, n, name: str = "J") -> tuple:
@@ -199,7 +196,10 @@ def _check_subset(J, n, name: str = "J") -> tuple:
 
     Refusals call the subset `name`.
     """
-    J = tuple(sorted(set(map(_label, J))))
+    try:
+        J = tuple(sorted(set(map(_label, J))))
+    except TypeError:
+        raise InvalidArgument(f"{name}={J!r} is not a collection of labels") from None
     if not J:
         raise InvalidArgument(f"{name} must be nonempty")
     if J[0] < 1 or J[-1] > n:

@@ -23,14 +23,13 @@ Three routes are implemented:
   intersection-cohomology polynomial of the singular quotient);
 * :func:`stable_betti` sums E-polynomials of open strata over all bubble
   trees, giving the Betti numbers of the stable-polygon compactification.
-  The answer is independent of the chamber and of the slacks, which makes a
-  sharp cross-check.  The open stratum of a component with k special points
-  (no two edges parallel) is k distinct points on P^1 modulo PGL_2, that is
-  M_{0,k}, with E-polynomial prod_{i=2}^{k-2} (t^2 - i) in every chamber.
-  Which bubbles a component admits depends on the lengths and slacks, read
-  from the subset-sum table of r; bubble trees are summed by a least-element
-  dynamic program over the labels a component has left, which merges every
-  family sharing a remainder and tracks only the number of special points.
+  The answer is independent of the chamber, which makes a sharp cross-check.
+  The open stratum of a component with k special points (no two edges
+  parallel) is k distinct points on P^1 modulo PGL_2, that is M_{0,k}.  The
+  root's bubbles are the short subsets of r, summed by a least-element
+  dynamic program over the labels it has left; a bubble over m labels admits
+  every smaller one, so it is M_{0,m+1}-bar and its trees sum to B(m), cached
+  by m alone.
 """
 
 from __future__ import annotations
@@ -117,9 +116,6 @@ class PoincarePoly:
     def __sub__(self, other):
         k = max(len(self.coeffs), len(other.coeffs))
         return PoincarePoly(a - b for a, b in zip(self._pad(k), other._pad(k)))
-
-    def __neg__(self):
-        return PoincarePoly(-a for a in self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -415,118 +411,111 @@ def _e_open(k: int) -> tuple:
     return poly
 
 
-class _BettiEngine:
-    """E-polynomial bookkeeping over one (r, eps) input; eps must be legal.
+@functools.cache
+def _bubble_sum(m: int) -> tuple:
+    """B(m): the E-polynomials summed over the bubble trees rooted at a bubble
+    over m labels, that is of M_{0,m+1}-bar (Keel's recursion in Manin's
+    sum-over-trees form).
 
-    A bubble tree is a laminar family of subsets.  Within one component the
-    admissible children are fixed (read from the subset-sum table of r and
-    the slacks), so its families are summed by a memo over the mask R of
-    labels still to place (:meth:`_forest`): the least label of R is either
-    loose or the least label of one child inside R, and what remains is the
-    same problem on a smaller mask.  The open stratum of a component is
-    M_{0,k} for its k special points (loose labels, children and the closing
-    edge), so the memo carries, for each k, the summed products of the
-    children's bubble sums, and each k is multiplied once by :func:`_e_open`.
-    Polynomials are integer coefficient sequences here.  `bubble_sum` stays
-    per call and keyed on J: the closing edges of its children depend on the
-    slacks, and sharing it across calls would assume the independence the sum
-    is there to check.
-    """
+    A bubble over J closes with an edge sum_J r - eps_J, so a proper subset K
+    of J is admissible inside it when the labels of J outside K, which weigh
+    at least min_J r, outweigh eps_J / 2: always, for a legal slack (`augment`
+    checks this on every bubble it builds).  So the m labels split into any
+    k blocks, each loose or a child, with the closing edge k + 1 points."""
+    out = []
+    for k, p in enumerate(_block_sums(m, m - 1)):
+        if p:
+            _poly_add_into(out, _poly_mul(_e_open(k + 1), p))
+    return tuple(out)
 
-    def __init__(self, r: LengthVector, eps: EpsilonAssignment):
-        self.r = r
-        self.eps = eps
-        self.n = r.n
-        self.sums = r.subset_sums()
-        self._bubble = {}
 
-    def bubble_sum(self, J: int) -> tuple:
-        """Sum over all bubble trees rooted at the mask J of their E-polynomial
-        product; a bubble with |J| = 2 is a rigid triangle and gives 1."""
-        if J not in self._bubble:
-            labels = [j + 1 for j in range(self.n) if J >> j & 1]
-            if len(labels) == 2:
-                self._bubble[J] = (1,)
-            else:
-                # integer lengths: this bubble's are taken times q * r.den,
-                # with q the denominator of eps_J * r.den
-                slack = self.eps.get(labels) * self.r.den
-                q = slack.denominator
-                last = q * self.sums[J] - slack.numerator  # the closing edge
-                self._bubble[J] = self._families(J, q, last)
-        return self._bubble[J]
+@functools.cache
+def _block_sums(s: int, largest: int) -> tuple:
+    """Index k: the sum over the partitions of an s-set into k blocks of at
+    most `largest` labels of the product of the block weights, 1 for a loose
+    label and B(b) for a child of b >= 2 labels.  The block of the least label
+    has b labels in C(s-1, b-1) ways, and the rest is the same sum on s - b."""
+    if not s:
+        return ((1,),)
+    out = [[] for _ in range(s + 1)]
+    for b in range(1, min(s, largest) + 1):
+        weight = _poly_mul(_bubble_sum(b), (comb(s - 1, b - 1),)) if b > 1 else (1,)
+        for k, p in enumerate(_block_sums(s - b, s - b)):
+            if p:
+                _poly_add_into(out[k + 1], _poly_mul(p, weight))
+    return tuple(map(tuple, out))
 
-    def _families(self, ground: int, q: int, last: int = 0) -> tuple:
-        """Sum over the laminar families of bubbles inside `ground` of the
-        open E-polynomial of the component (its lengths times q, plus the
-        closing edge `last` when positive) times the children's bubble sums."""
-        sums = self.sums
-        total = q * sums[ground] + last
-        # children by least label bit: proper sub-masks of size >= 2 whose sum
-        # stays strictly short of half the component perimeter, or the
-        # component vector leaves the cone
-        children = {}
-        sub = (ground - 1) & ground
-        while sub:
-            if sub & (sub - 1) and 2 * q * sums[sub] < total:
-                children.setdefault(sub & -sub, []).append(
-                    (sub, self.bubble_sum(sub))
-                )
-            sub = (sub - 1) & ground
-        closing = 1 if last > 0 else 0
-        out = []
-        for k, acc in enumerate(self._forest(ground, children, {0: [[1]]})):
-            if acc:
-                _poly_add_into(out, _poly_mul(_e_open(k + closing), acc))
-        return tuple(out)
 
-    def _forest(self, R: int, children: dict, memo: dict) -> list:
-        """f(R): index k holds the summed children's products over the ways
-        to split the labels of R into k loose labels and children.
+def _forest(R: int, children: dict, memo: dict, y: int) -> int:
+    """f(R): the children's products summed over the ways to split the labels
+    of R into loose labels and children, with y counting special points.
 
-        The least label of R is loose or the least label of one child C in R:
-        f(R) = y f(R - low R) + sum_C bubble_sum(C) y f(R - C), y counting
-        special points."""
-        got = memo.get(R)
-        if got is not None:
-            return got
+    The least label of R is loose or the least label of one child C in R:
+    f(R) = y f(R - low R) + sum_C B(|C|) y f(R - C).  `children` maps a label
+    bit to {B(b): masks} over the sizes b of the children whose least label
+    it is, so each B(b) multiplies its summed f(R - C) once.  Polynomials are
+    packed into ints (see :func:`stable_betti`), y being a shift by `y` bits;
+    `memo` keeps f per mask."""
+    got = memo.get(R)
+    if got is None:
         low = R & -R
-        out = [[]] + [list(p) for p in self._forest(R ^ low, children, memo)]
-        for C, poly in children.get(low, ()):
-            if C & R == C:
-                for k, p in enumerate(self._forest(R ^ C, children, memo)):
-                    if p:
-                        _poly_add_into(out[k + 1], _poly_mul(p, poly))
-        memo[R] = out
-        return out
+        got = _forest(R ^ low, children, memo, y)
+        for weight, masks in children.get(low, {}).items():
+            got += weight * sum(
+                _forest(R ^ C, children, memo, y) for C in masks if C & R == C
+            )
+        got <<= y
+        memo[R] = got
+    return got
 
 
 def stable_betti(r, eps: Optional[EpsilonAssignment] = None) -> PoincarePoly:
     """Betti numbers of the moduli space of stable polygons over r.
 
     Sums, over all bubble trees (laminar families of relevant subsets), the
-    product of open-stratum E-polynomials of the tree components.  Needs r
-    interior and off every wall; the result must come out with nonnegative
-    palindromic coefficients and is independent of the chamber of r and of
-    the choice of slacks, both of which are asserted in the test suite rather
-    than here.  Explicit slacks must be legal for r (see
+    product of open-stratum E-polynomials of the tree components, M_{0,k} for
+    a component with k special points.  Needs r interior and off every wall;
+    the result must come out with nonnegative palindromic coefficients, and
+    is independent of the chamber of r, which the test suite asserts.  The
+    root's children are the short subsets of r, summed by :func:`_forest`; a
+    bubble over m labels contributes B(m) whatever the slacks, so `eps` is
+    only checked: explicit slacks must be legal for r (see
     :meth:`EpsilonAssignment.legal_for`), or :class:`RangeError` is raised.
     """
     r = as_length_vector(r)
-    if r.n < 4:
+    n = r.n
+    if n < 4:
         raise InvalidArgument("need n >= 4")
     if not r.in_cone_interior():
         raise InvalidArgument("r must lie in the interior of the polygon cone")
-    if _walls_on(r.subset_sums(), r.n):
+    sums = r.subset_sums()
+    if _walls_on(sums, n):
         raise InvalidArgument(
             "r lies on a wall: the ordinary space is singular and this "
             "summation does not apply (the schedule still reports the "
             "resolution step)"
         )
     _require_legal(r, eps)
-    if eps is None:
-        eps = EpsilonAssignment.canonical(r)
-    poly = PoincarePoly(_BettiEngine(r, eps)._families((1 << r.n) - 1, 1))
+    # f's coefficient of y^k t^i sits at bit width * (n k + i).  It counts
+    # weighted partitions (B holds Betti numbers), at most the sum of all
+    # coefficients of _block_sums(n, n - 1), and a child of b labels adds
+    # b - 2 to the t-degree, so i < n and no digit carries.
+    width = sum(map(sum, _block_sums(n, n - 1))).bit_length()
+    weights = {
+        b: sum(c << width * i for i, c in enumerate(_bubble_sum(b))) for b in range(2, n)
+    }
+    full = len(sums) - 1
+    children = {}
+    for C in range(3, full):
+        if C & (C - 1) and 2 * sums[C] < sums[full]:
+            weight = weights[C.bit_count()]
+            children.setdefault(C & -C, {}).setdefault(weight, []).append(C)
+    f = _forest(full, children, {0: 1}, n * width)
+    out = []
+    for k in range(n + 1):
+        acc = [f >> width * (n * k + i) & ((1 << width) - 1) for i in range(n)]
+        _poly_add_into(out, _poly_mul(_e_open(k), acc))
+    poly = PoincarePoly(out)
     if any(c < 0 for c in poly.coeffs) or not poly.palindromic():
         raise InternalError(f"stratification sum came out malformed: {poly!r}")
     return poly

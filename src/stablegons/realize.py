@@ -51,6 +51,7 @@ from .chambers import (
     rational,
     same_chamber,
     _check_subset,
+    _label,
 )
 from .errors import (
     ChamberMismatch,
@@ -186,10 +187,18 @@ def _unit_rows(u: np.ndarray) -> np.ndarray:
     return u / _norms(u)[:, None]
 
 
+def _seed(seed, name: str = "seed") -> int:
+    """A seed as an int >= 0; bools and other non-integers are refused."""
+    value = _label(seed, name)
+    if value < 0:
+        raise InvalidArgument(f"{name} {seed!r} is negative")
+    return value
+
+
 def _rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    return np.random.default_rng(None if seed is None else _seed(seed))
 
 
 def _lin(a: float, p: tuple, b: float, q: tuple, d: float = 1.0) -> tuple:
@@ -248,12 +257,12 @@ def close(r, seed=None, hints=None, tol: Optional[float] = None) -> EdgeFrame:
     """Close a polygon with the given side lengths.
 
     Without `hints` the polygon is built, without iterating, from
-    fan-triangulation action-angle coordinates drawn from `seed`, so runs are
-    deterministic per seed.  Hint directions that close within `tol`
-    (default 1e-10) are returned as they are; others are moved by the Mobius
-    boost that balances them for r, as in :func:`transport`, so the frame
-    keeps the hint's moduli point.  A residual above `tol` raises
-    NonConvergence.
+    fan-triangulation action-angle coordinates drawn from `seed` (None, a
+    Generator or an int >= 0), so runs are deterministic per seed.  Hint
+    directions that close within `tol` (default 1e-10) are returned as they
+    are; others are moved by the Mobius boost that balances them for r, as in
+    :func:`transport`, so the frame keeps the hint's moduli point.  A residual
+    above `tol` raises NonConvergence.
     """
     r = as_length_vector(r)
     if not r.in_cone_interior():

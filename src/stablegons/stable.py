@@ -55,6 +55,7 @@ from .realize import (
     _find,
     _marks,
     _norm,
+    _seed,
     close,
     diagonal,
     parallel_classes,
@@ -316,8 +317,8 @@ def stabilize(
     vector; the construction recurses until every leaf is generic (the index
     sets shrink strictly, and a closing edge can never degenerate, so this
     terminates).  Pair classes force a rigid triangle regardless of the
-    filler; larger bubbles draw their free moduli from `filler`, either an
-    integer master seed or a mapping subset -> EdgeFrame for explicit bubbles.
+    filler; larger bubbles draw their free moduli from `filler`, either a
+    master seed >= 0 or a mapping subset -> EdgeFrame for explicit bubbles.
     """
     if tol is None:
         tol = DEFAULT_TOL
@@ -330,7 +331,7 @@ def stabilize(
     if isinstance(filler, dict):
         explicit = {frozenset(k): v for k, v in filler.items()}
     elif filler is not None:
-        seed = int(filler)
+        seed = _seed(filler, "filler")
 
     def grow(node: StableNode):
         classes = parallel_classes(node.frame, tol.angle)

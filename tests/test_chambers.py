@@ -324,6 +324,18 @@ def test_non_integer_labels_are_refused(label):
         EpsilonAssignment(default=1).get((label, 3))
 
 
+@pytest.mark.parametrize("J", [None, 3, 1.5])
+def test_non_iterable_subset_is_refused(J):
+    with pytest.raises(InvalidArgument, match="is not a collection of labels"):
+        wall_margin((1, 1, 1, 1, 1), J)
+    with pytest.raises(InvalidArgument, match="is not a collection of labels"):
+        epsilon_range((1, 2, 3, 4, 5), J)
+
+
+def test_multiset_is_gone():
+    assert not hasattr(LengthVector, "multiset")
+
+
 def test_numpy_integer_labels_are_accepted():
     np = pytest.importorskip("numpy")
     J = (np.int64(1), np.int32(2))

@@ -204,6 +204,19 @@ def test_unreadable_lengths_exit_2(capsys, bad):
     assert "cannot parse --eps" in err
 
 
+@pytest.mark.parametrize(
+    "command, shape",
+    [
+        ("realize", ("--r", "1,1,1,1,1")),
+        ("stabilize", ("--r", "1,1,1,2,2,2", "--parallel", "1,2,3")),
+    ],
+)
+def test_negative_seed_exits_2(capsys, command, shape):
+    code, out, err = run_cli(capsys, command, *shape, "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: seed -1 is negative")
+
+
 def test_interpolating_family_matches_per_edge_rotation(monkeypatch):
     # the per-edge Rodrigues rotation with np.cross and np.dot is the
     # reference; the array form must give the same frames, bit for bit

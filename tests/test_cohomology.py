@@ -199,6 +199,77 @@ def random_legal_eps(rng, r):
     return assignment
 
 
+class ReferenceBettiEngine:
+    """The per-subset engine that the size-keyed bubble sums B(m) replaced,
+    kept as their reference.  Each bubble over a mask J reads its children
+    from its own lengths, scaled by the slack eps_J, and its sum is kept per
+    J; the root and every bubble share one mask DP over the labels left."""
+
+    def __init__(self, r, eps):
+        self.r = r
+        self.eps = eps
+        self.n = r.n
+        self.sums = r.subset_sums()
+        self._bubble = {}
+
+    def bubble_sum(self, J):
+        if J not in self._bubble:
+            labels = [j + 1 for j in range(self.n) if J >> j & 1]
+            if len(labels) == 2:
+                self._bubble[J] = (1,)
+            else:
+                # integer lengths: this bubble's are taken times q * r.den,
+                # with q the denominator of eps_J * r.den
+                slack = self.eps.get(labels) * self.r.den
+                q = slack.denominator
+                last = q * self.sums[J] - slack.numerator  # the closing edge
+                self._bubble[J] = self._families(J, q, last)
+        return self._bubble[J]
+
+    def _families(self, ground, q, last=0):
+        sums = self.sums
+        total = q * sums[ground] + last
+        children = {}
+        sub = (ground - 1) & ground
+        while sub:
+            if sub & (sub - 1) and 2 * q * sums[sub] < total:
+                children.setdefault(sub & -sub, []).append(
+                    (sub, self.bubble_sum(sub))
+                )
+            sub = (sub - 1) & ground
+        closing = 1 if last > 0 else 0
+        out = []
+        for k, acc in enumerate(self._forest(ground, children, {0: [[1]]})):
+            if acc:
+                cohomology._poly_add_into(
+                    out, cohomology._poly_mul(cohomology._e_open(k + closing), acc)
+                )
+        return tuple(out)
+
+    def _forest(self, R, children, memo):
+        got = memo.get(R)
+        if got is not None:
+            return got
+        low = R & -R
+        out = [[]] + [list(p) for p in self._forest(R ^ low, children, memo)]
+        for C, poly in children.get(low, ()):
+            if C & R == C:
+                for k, p in enumerate(self._forest(R ^ C, children, memo)):
+                    if p:
+                        cohomology._poly_add_into(
+                            out[k + 1], cohomology._poly_mul(p, poly)
+                        )
+        memo[R] = out
+        return out
+
+
+def reference_stable_betti(r, eps=None):
+    r = LengthVector(r)
+    if eps is None:
+        eps = EpsilonAssignment.canonical(r)
+    return PoincarePoly(ReferenceBettiEngine(r, eps)._families((1 << r.n) - 1, 1))
+
+
 class TestPoincarePoly:
     def test_arithmetic(self):
         p2 = PoincarePoly.projective(2)
@@ -591,10 +662,41 @@ class TestBubbleTreeWalk:
         rng = random.Random(20264)
         r = off_wall_spread(rng, 9)
         eps = random_legal_eps(rng, r)
-        # q > 1: the bubble lengths are rescaled by the slack's denominator
+        # q > 1: the reference rescales the bubble lengths by the slack's
+        # denominator
         assert (eps.default * r.den).denominator > 1
         assert any((v * r.den).denominator > 1 for v in eps.eps.values())
-        assert stable_betti(r, eps) == keel(9)
+        assert stable_betti(r, eps) == reference_stable_betti(r, eps) == keel(9)
+
+    def test_matches_per_subset_reference_with_explicit_slacks(self):
+        rng = random.Random(20267)
+        for n, draws in ((4, 6), (5, 8), (6, 8), (7, 6), (8, 4), (9, 2)):
+            for _ in range(draws):
+                r = off_wall_spread(rng, n)
+                eps = random_legal_eps(rng, r)
+                assert stable_betti(r, eps) == reference_stable_betti(r, eps), r
+
+    @pytest.mark.parametrize("m", range(2, 12))
+    def test_bubble_sum_is_keel_one_size_up(self, m):
+        # a bubble over m labels and its closing edge is M_{0,m+1}-bar
+        assert cohomology._bubble_sum(m) == keel(m + 1).coeffs
+
+    def test_slack_at_its_bound_is_a_range_error(self):
+        # at eps_J = 2 min_J r a bubble over J would lose children, so the
+        # size-keyed sums hold only for legal slacks, which are checked
+        r = central_base(7)
+        eps = EpsilonAssignment({(1, 2, 3): 2 * min(r.r[:3])}, default=min(r.r))
+        with pytest.raises(RangeError, match="1,2,3"):
+            stable_betti(r, eps)
+
+    def test_slacks_are_checked_not_read(self):
+        # one explicit slack and no default: no bubble sum reads a slack
+        r = central_base(8)
+        assert stable_betti(r, EpsilonAssignment({(1, 2): min(r.r)})) == keel(8)
+
+    def test_per_subset_engine_is_gone(self):
+        assert not hasattr(cohomology, "_BettiEngine")
+        assert not hasattr(PoincarePoly, "__neg__")
 
     def test_disjoint_families_is_gone(self):
         assert not hasattr(cohomology, "_disjoint_families")

@@ -214,6 +214,19 @@ class TestClose:
         b = close([1] * 6, seed=42)
         assert np.array_equal(a.u, b.u)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, np.True_, "7"])
+    def test_bad_seed_is_refused(self, seed):
+        refusal = f"seed {seed!r} is (not an integer|negative)"
+        with pytest.raises(InvalidArgument, match=refusal):
+            close([1] * 5, seed=seed)
+        with pytest.raises(InvalidArgument, match="seed"):
+            close_degenerate((1, 1, 1, 2, 2, 2), [(1, 2, 3)], seed=seed)
+
+    def test_integer_seeds_and_generators_agree(self):
+        want = close([1] * 6, seed=42).u
+        for seed in (np.int64(42), np.random.default_rng(42)):
+            assert np.array_equal(close([1] * 6, seed=seed).u, want)
+
     def test_hint_keeps_its_moduli_point(self):
         rng = np.random.default_rng(3)
         lengths = [(1, 1, 1, F(3, 2), 2)] * 10
@@ -741,6 +754,21 @@ class TestIncidence:
         bad = close((1, 1, F(3, 2), F(5, 2)), seed=5)
         with pytest.raises(InvalidArgument):
             incidence(P, bad, (1, 2, 3))  # Q does not inherit the J lengths
+
+
+@pytest.mark.parametrize("J", [None, 1.5, 3])
+def test_non_iterable_subset_is_refused(J):
+    frame = close([1] * 5, seed=1)
+    calls = [
+        lambda: diagonal(frame, J),
+        lambda: subpolygon(frame, J),
+        lambda: incidence(frame, frame, J),
+    ]
+    if J is not None:  # transport without J moves the whole frame
+        calls.append(lambda: transport(frame, F(3, 2), J))
+    for call in calls:
+        with pytest.raises(InvalidArgument, match="J=.* is not a collection of labels"):
+            call()
 
 
 class TestWindowIsolation:

@@ -90,6 +90,13 @@ class TestStabilize:
         with pytest.raises(RangeError, match=r"1, 2, 3"):
             stabilize(frame, eps)
 
+    @pytest.mark.parametrize("filler", [-1, 1.5, True, np.True_])
+    def test_bad_filler_seed_is_refused(self, filler):
+        frame = close_degenerate(HEX_R, [(1, 2, 3)], seed=4)
+        refusal = "filler .* is (not an integer|negative)"
+        with pytest.raises(InvalidArgument, match=refusal):
+            stabilize(frame, canonical_eps(HEX_R), filler=filler)
+
     def test_explicit_bubble_filler(self):
         frame = close_degenerate(HEX_R, [(1, 2, 3)], seed=4)
         bubble_r = augment(HEX_R, (1, 2, 3), 1)
@@ -280,6 +287,12 @@ class TestLimit:
                 break
         assert frames, "no below-window hexagon drawn"
         with pytest.raises(NoLimit):
+            limit(frames, J, eps_J=1)
+
+    @pytest.mark.parametrize("J", [None, 1.5])
+    def test_non_iterable_subset_is_refused(self, J):
+        frames = [close(HEX_R, seed=0)]
+        with pytest.raises(InvalidArgument, match="is not a collection of labels"):
             limit(frames, J, eps_J=1)
 
     def test_reversed_family_no_limit(self):
