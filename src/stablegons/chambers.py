@@ -138,11 +138,6 @@ class LengthVector:
     def perimeter(self) -> Fraction:
         return Fraction(sum(self.ints), self.den)
 
-    def normalized(self) -> tuple:
-        """The rescaled vector 2r/perimeter (sums to 2)."""
-        L = self.perimeter()
-        return tuple(2 * x / L for x in self.r)
-
     def in_cone_interior(self) -> bool:
         return 2 * max(self.ints) < sum(self.ints)
 
@@ -154,9 +149,6 @@ class LengthVector:
         if f <= 0:
             raise InvalidArgument("scale factor must be positive")
         return LengthVector(x * f for x in self.r)
-
-    def subset_sum(self, J: Iterable[int]) -> Fraction:
-        return Fraction(sum(self.ints[j - 1] for j in J), self.den)
 
     def __len__(self):
         return len(self.r)
@@ -189,6 +181,14 @@ def _label(j, name: str = "label") -> int:
         except TypeError:
             pass
     raise InvalidArgument(f"{name} {j!r} is not an integer")
+
+
+def _seed(seed, name: str = "seed") -> int:
+    """A seed as an int >= 0; bools and other non-integers are refused."""
+    value = _label(seed, name)
+    if value < 0:
+        raise InvalidArgument(f"{name} {seed!r} is negative")
+    return value
 
 
 def _check_subset(J, n, name: str = "J") -> tuple:
@@ -230,9 +230,6 @@ class WallIndex:
             )
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "n", n)
-
-    def complement(self) -> tuple:
-        return tuple(i for i in range(1, self.n + 1) if i not in self.J)
 
     def __repr__(self):
         return f"W{list(self.J)}"
@@ -502,7 +499,11 @@ def relevant_subsets(r, min_size: int = 2, with_margins: bool = False):
 def epsilon_range(r, J) -> tuple:
     """Legal open range (0, 2 min_{j in J} r_j) for the bubble slack at J."""
     r = as_length_vector(r)
-    J = _check_subset(J, r.n)
+    return _epsilon_range(r, _check_subset(J, r.n))
+
+
+def _epsilon_range(r: LengthVector, J: tuple) -> tuple:
+    """:func:`epsilon_range` of a built vector at a checked, sorted J."""
     if not (2 <= len(J) <= r.n - 2):
         raise InvalidArgument(f"|J|={len(J)} cannot index a bubble")
     ints = r.ints
@@ -526,14 +527,14 @@ def augment(r, J, eps_J) -> LengthVector:
     """
     r = as_length_vector(r)
     eps = rational(eps_J)
-    lo, hi = epsilon_range(r, J)
+    J = _check_subset(J, r.n)
+    lo, hi = _epsilon_range(r, J)
     if not lo < eps < hi:
         raise RangeError(
             f"eps_J={eps} violates the legal range 0 < eps_J < {hi} "
-            f"(= 2 min over J of r_j) for J={sorted(J)}"
+            f"(= 2 min over J of r_j) for J={list(J)}"
         )
-    J = _check_subset(J, r.n)
-    tail = r.subset_sum(J) - eps
+    tail = Fraction(sum(r.ints[j - 1] for j in J), r.den) - eps
     out = LengthVector([r.r[j - 1] for j in J] + [tail])
     if not is_favorable(out, out.n):
         raise InternalError("augmented vector left the dominated chamber")
@@ -552,7 +553,10 @@ class EpsilonAssignment:
         self.eps = {}
         if eps:
             for J, v in dict(eps).items():
-                self.eps[frozenset(map(_label, J))] = rational(v)
+                try:
+                    self.eps[frozenset(map(_label, J))] = rational(v)
+                except TypeError:
+                    raise InvalidArgument(f"J={J!r} is not a collection of labels") from None
         self.default = None if default is None else rational(default)
 
     @classmethod
@@ -560,7 +564,10 @@ class EpsilonAssignment:
         return cls(default=canonical_epsilon(r))
 
     def get(self, J) -> Fraction:
-        key = frozenset(map(_label, J))
+        try:
+            key = frozenset(map(_label, J))
+        except TypeError:
+            raise InvalidArgument(f"J={J!r} is not a collection of labels") from None
         if key in self.eps:
             return self.eps[key]
         if self.default is not None:

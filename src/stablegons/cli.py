@@ -10,6 +10,7 @@ exactly: "3.5" means 7/2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -63,7 +64,7 @@ def parse_tols(pairs):
     for item in pairs or []:
         try:
             name, val = item.split("=")
-            tol = tol.with_overrides(**{name: float(val)})
+            tol = dataclasses.replace(tol, **{name: float(val)})
         except (ValueError, TypeError) as exc:
             raise InvalidArgument(f"cannot parse --tol {item!r}: {exc}") from None
     return tol

@@ -28,6 +28,7 @@ from .chambers import (
     relevant_subsets,
     signature,
     _central_signature,
+    _seed,
 )
 from .errors import InternalError, InvalidArgument
 
@@ -130,11 +131,11 @@ def param_sample(n: int, seed: int = 0) -> ParamPoint:
     The length jitter stays small enough (exact-rational bookkeeping) that no
     wall sign can flip relative to the base point; every slack is drawn
     uniformly from its open range.  Each sampled point satisfies
-    n + #R_{>2}(r) = param_dim(n).
+    n + #R_{>2}(r) = param_dim(n).  Seeds are integers >= 0.
     """
     if n < 5:
         raise InvalidArgument("need n >= 5")
-    rng = random.Random(1_000_003 * int(seed) + n)
+    rng = random.Random(1_000_003 * _seed(seed) + n)
     base = central_base(n)
     # margins at the base are at least delta = 1/(n^3 2^n) for even n and at
     # least 1 for odd n; scale the jitter to stay well below that

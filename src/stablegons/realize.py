@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -51,7 +51,7 @@ from .chambers import (
     rational,
     same_chamber,
     _check_subset,
-    _label,
+    _seed,
 )
 from .errors import (
     ChamberMismatch,
@@ -88,9 +88,6 @@ class Tolerances:
     closure: float = 1e-10
     angle: float = 1e-8
     mobius: float = 1e-8
-
-    def with_overrides(self, **kw) -> "Tolerances":
-        return replace(self, **kw)
 
 
 DEFAULT_TOL = Tolerances()
@@ -185,14 +182,6 @@ class EdgeFrame:
 
 def _unit_rows(u: np.ndarray) -> np.ndarray:
     return u / _norms(u)[:, None]
-
-
-def _seed(seed, name: str = "seed") -> int:
-    """A seed as an int >= 0; bools and other non-integers are refused."""
-    value = _label(seed, name)
-    if value < 0:
-        raise InvalidArgument(f"{name} {seed!r} is negative")
-    return value
 
 
 def _rng(seed) -> np.random.Generator:

@@ -4,8 +4,8 @@ Whenever a set of edges of a polygon becomes parallel, the lost moduli are
 restored by attaching a bubble: an independent polygon whose edges inherit
 the parallel lengths and whose extra closing edge carries their sum minus a
 small slack epsilon_J.  Iterating until every leaf is free of parallel edges
-produces a stable polygon, stored here as a tree of frames indexed by a
-laminar family of label subsets.
+produces a stable polygon, stored here as a read-only tree of frames
+indexed by a laminar family of label subsets, well-formed by construction.
 
 The key operations:
 
@@ -13,7 +13,7 @@ The key operations:
   drawing the bubble moduli that the base does not determine from a filler
   (the fiber over a degenerate polygon is a product of bubble moduli, so this
   choice is genuinely free);
-* :func:`validate` checks the defining conditions with numeric margins;
+* :func:`validate` checks the geometric conditions with numeric margins;
 * :func:`forget` projects back to the base frame;
 * :func:`limit` extracts the bubble that a degenerating family converges to;
 * :func:`to_stable_curve` reads off the combinatorial stable curve: one
@@ -24,8 +24,7 @@ The key operations:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -34,10 +33,10 @@ import numpy as np
 from .chambers import (
     EpsilonAssignment,
     LengthVector,
-    as_length_vector,
     augment,
     rational,
     _check_subset,
+    _seed,
 )
 from .errors import (
     InternalError,
@@ -55,7 +54,6 @@ from .realize import (
     _find,
     _marks,
     _norm,
-    _seed,
     close,
     diagonal,
     parallel_classes,
@@ -76,19 +74,37 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class StableNode:
     """One component: the subset it lives over, its frame, and its children.
 
-    The root carries the full label set and no slack; every other node J
-    carries the slack eps_J and a frame over (r_J, sum_J r_j - eps_J) whose
-    labels are sorted(J) plus FREE_EDGE for the closing edge.
+    A root has no slack (eps None) and a frame labelled by its subset; a
+    bubble over J has the slack eps_J and a frame over (r_J, sum_J r_j - eps_J)
+    labelled J plus FREE_EDGE.  Children are bubbles over proper subsets, and
+    siblings are disjoint, so the subsets of a tree form a laminar family.
+    A node that breaks these rules raises StructureError naming its subset.
     """
 
     subset: tuple
     frame: EdgeFrame
     eps: Optional[Fraction]
-    children: list = field(default_factory=list)
+    children: tuple = ()
+
+    def __post_init__(self):
+        name = list(self.subset)
+        want = self.subset if self.eps is None else self.subset + (FREE_EDGE,)
+        if self.frame.labels != want:
+            raise StructureError(f"frame of {name} must be labelled {list(want)}")
+        whole, free = set(self.subset), set(self.subset)
+        for child in self.children:
+            kid = list(child.subset)
+            if child.eps is None:
+                raise StructureError(f"child {kid} of {name} has no slack")
+            if not whole.issuperset(kid) or len(kid) == len(whole):
+                raise StructureError(f"child {kid} escapes parent {name}")
+            if not free.issuperset(kid):
+                raise StructureError(f"child {kid} of {name} overlaps an earlier sibling")
+            free.difference_update(kid)
 
     def walk(self):
         yield self
@@ -104,13 +120,19 @@ class StableNode:
         }
 
 
+@dataclass(frozen=True)
 class StablePolygon:
-    """A labeled bubble tree; the subsets of the nodes form a laminar family."""
+    """A labeled bubble tree; its root frame is labelled 1..n, so it has no slack."""
 
-    def __init__(self, root_r, eps: EpsilonAssignment, root: StableNode):
-        self.root_r = as_length_vector(root_r)
-        self.eps = eps
-        self.root = root
+    root: StableNode
+
+    def __post_init__(self):
+        if self.root.frame.labels != tuple(range(1, self.root.frame.n + 1)):
+            raise StructureError("root must carry the full label set and no slack")
+
+    @property
+    def root_r(self) -> LengthVector:
+        return self.root.frame.lengths
 
     def nodes(self):
         return list(self.root.walk())
@@ -133,14 +155,6 @@ class StablePolygon:
 
     def __repr__(self):
         return f"StablePolygon(n={self.root_r.n}, bubbles={len(self.bubbles())})"
-
-
-def _laminar(subsets) -> bool:
-    for a, b in itertools.combinations(subsets, 2):
-        sa, sb = set(a), set(b)
-        if sa & sb and not (sa <= sb or sb <= sa):
-            return False
-    return True
 
 
 @dataclass
@@ -172,42 +186,18 @@ class StabilityReport:
 def validate(
     sp: StablePolygon, tol: Optional[Tolerances] = None, strict: bool = False
 ) -> StabilityReport:
-    """Check the stable-polygon conditions, reporting per-condition outcomes.
+    """Check the geometric stable-polygon conditions, one verdict per check.
 
-    Structural problems (non-laminar subsets, children escaping their parent,
-    a frame not labelled by its subset, plus FREE_EDGE on a bubble) raise
-    StructureError before any geometry is touched.  The geometric
-    checks: every component must close, each bubble's lengths must agree with
-    the augmented vector of its parent, each component must degenerate at
-    exactly its children's subsets, leaves must be generic, and no closing
-    edge may be parallel to another edge.  With `strict` set, collapse of the
-    descendant diagonals is verified across non-parent ancestor pairs too.
+    The tree is well-formed by construction (see :class:`StableNode`), so
+    only the geometry is checked: every component must close, each bubble's
+    lengths must agree with the augmented vector of the root over its own
+    slack, each component must degenerate at exactly its children's subsets,
+    leaves must be generic, and no closing edge may be parallel to another
+    edge.  With `strict` set, collapse of the descendant diagonals is
+    verified across non-parent ancestor pairs too.
     """
     if tol is None:
         tol = DEFAULT_TOL
-    subsets = sp.subsets()
-    if len(set(subsets)) != len(subsets):
-        raise StructureError("duplicate bubble subsets")
-    if not _laminar(subsets):
-        raise StructureError("bubble subsets are not laminar")
-    for nd in sp.root.walk():
-        want = nd.subset if nd is sp.root else nd.subset + (FREE_EDGE,)
-        if nd.frame.labels != want:
-            raise StructureError(f"frame of {list(nd.subset)} must be labelled {list(want)}")
-        parent_set = set(nd.subset)
-        for child in nd.children:
-            if not set(child.subset) < parent_set:
-                raise StructureError(
-                    f"child {list(child.subset)} escapes parent {list(nd.subset)}"
-                )
-        for a, b in itertools.combinations(nd.children, 2):
-            if set(a.subset) & set(b.subset):
-                raise StructureError(
-                    f"siblings {list(a.subset)} and {list(b.subset)} overlap"
-                )
-    if sp.root.subset != tuple(range(1, sp.root_r.n + 1)):
-        raise StructureError("root must carry the full label set")
-
     checks = []
     for nd in sp.root.walk():
         tag = nd.subset
@@ -223,8 +213,7 @@ def validate(
             if nd is sp.root:
                 want = sp.root_r
             else:
-                eps = nd.eps if nd.eps is not None else sp.eps.get(nd.subset)
-                want = augment(sp.root_r, nd.subset, eps)
+                want = augment(sp.root_r, nd.subset, nd.eps)
             # exact first; the float comparison only when the rationals differ
             ok = nd.frame.lengths == want or np.allclose(
                 nd.frame.r, want.floats(), rtol=0, atol=1e-9
@@ -263,14 +252,12 @@ def validate(
             )
     if strict:
         # collapse-incidence across non-parent ancestor pairs: the diagonal
-        # on a descendant's labels must saturate inside every strict ancestor
+        # on a descendant's labels must saturate inside every strict ancestor,
+        # whose frame carries all of them since the subsets are laminar
         for anc in sp.root.walk():
-            labels = set(anc.frame.labels)
             for desc in anc.walk():
-                if desc is anc or desc in anc.children:
-                    continue
-                J = [j for j in desc.subset if j in labels]
-                if len(J) < 2:
+                J = desc.subset
+                if desc is anc or desc in anc.children or len(J) < 2:
                     continue
                 _, d = diagonal(anc.frame, J)
                 total = sum(
@@ -333,14 +320,14 @@ def stabilize(
     elif filler is not None:
         seed = _seed(filler, "filler")
 
-    def grow(node: StableNode):
-        classes = parallel_classes(node.frame, tol.angle)
-        for cls in classes:
+    def grow(subset, node_frame, node_eps) -> StableNode:
+        children = []
+        for cls in parallel_classes(node_frame, tol.angle):
             if len(cls) < 2:
                 continue
             if FREE_EDGE in cls:
                 raise InvalidArgument(
-                    f"closing edge of {list(node.subset)} degenerated; "
+                    f"closing edge of {list(subset)} degenerated; "
                     "the slack must be strictly inside its legal range"
                 )
             J = tuple(cls)
@@ -356,15 +343,10 @@ def stabilize(
             else:
                 bub = close(bubble_r, seed=_child_seed(seed, J), tol=tol.closure)
                 bub = EdgeFrame(bubble_r, bub.u, labels)
-            child = StableNode(subset=J, frame=bub, eps=eps_J)
-            node.children.append(child)
-            grow(child)
+            children.append(grow(J, bub, eps_J))
+        return StableNode(subset, node_frame, node_eps, tuple(children))
 
-    root = StableNode(
-        subset=tuple(range(1, root_r.n + 1)), frame=frame, eps=None
-    )
-    grow(root)
-    return StablePolygon(root_r, eps, root)
+    return StablePolygon(grow(tuple(range(1, root_r.n + 1)), frame, None))
 
 
 def forget(sp: StablePolygon) -> EdgeFrame:
@@ -502,7 +484,7 @@ def _collapsed_marks(node: StableNode, tol: Tolerances) -> Optional[ModuliPoint]
         idx = [frame.index_of(j) for j in c.subset]
         v = np.sum(frame.r[idx, None] * frame.u[idx], axis=0)
         dirs.append(v / _norm(v))
-    # validate fixes the labels: 1..n at the root, J then FREE_EDGE on a
+    # the node fixes the labels: 1..n at the root, J then FREE_EDGE on a
     # bubble, so the closing edge comes after the loose labels
     dirs += [frame.u[i] for i, lab in enumerate(frame.labels) if lab not in taken]
     try:

@@ -330,10 +330,48 @@ def test_non_iterable_subset_is_refused(J):
         wall_margin((1, 1, 1, 1, 1), J)
     with pytest.raises(InvalidArgument, match="is not a collection of labels"):
         epsilon_range((1, 2, 3, 4, 5), J)
+    with pytest.raises(InvalidArgument, match="is not a collection of labels"):
+        augment((1, 1, 1, 1, 1, 1), J, 1)
+    with pytest.raises(InvalidArgument, match="is not a collection of labels"):
+        EpsilonAssignment(default=1).get(J)
+    with pytest.raises(InvalidArgument, match="is not a collection of labels"):
+        EpsilonAssignment({J: 1})
+
+
+def test_augment_checks_its_subset_once(monkeypatch):
+    calls = []
+    check = chambers._check_subset
+
+    def spy(J, n, name="J"):
+        calls.append(J)
+        return check(J, n, name)
+
+    monkeypatch.setattr(chambers, "_check_subset", spy)
+    r = LengthVector((2, 3, 5, 5, 5))
+    assert augment(r, (2, 1), F(1, 2)) == LengthVector((2, 3, F(9, 2)))
+    assert calls == [(2, 1)]
+    calls.clear()
+    with pytest.raises(RangeError, match=r"for J=\[1, 2\]"):
+        augment(r, (2, 1), 4)
+    with pytest.raises(InvalidArgument, match="not relevant"):
+        augment(r, (1, 3, 4), 1)
+    assert len(calls) == 2
 
 
 def test_multiset_is_gone():
     assert not hasattr(LengthVector, "multiset")
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        (LengthVector, "normalized"),
+        (LengthVector, "subset_sum"),
+        (WallIndex, "complement"),
+    ],
+)
+def test_dead_helpers_are_gone(owner, name):
+    assert not hasattr(owner, name)
 
 
 def test_numpy_integer_labels_are_accepted():

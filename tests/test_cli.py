@@ -209,6 +209,7 @@ def test_unreadable_lengths_exit_2(capsys, bad):
     [
         ("realize", ("--r", "1,1,1,1,1")),
         ("stabilize", ("--r", "1,1,1,2,2,2", "--parallel", "1,2,3")),
+        ("cone", ("--n", "5", "--sample", "1")),
     ],
 )
 def test_negative_seed_exits_2(capsys, command, shape):

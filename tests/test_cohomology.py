@@ -653,6 +653,10 @@ class TestBubbleTreeWalk:
     def test_central_dodecagon_matches_keel(self):
         assert stable_betti(central_base(12)) == keel(12)
 
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_central_base_matches_keel_past_twelve(self, n):
+        assert stable_betti(central_base(n)) == keel(n)
+
     def test_decagon_with_random_slacks_matches_keel(self):
         rng = random.Random(20266)
         r = off_wall_spread(rng, 10)

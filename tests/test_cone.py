@@ -68,6 +68,15 @@ class TestParamCone:
                 assert p.r.n + len(p.eps.eps) == param_dim(n)
                 assert param_contains(p)
 
+    @pytest.mark.parametrize("seed", [1.5, True, -1, "1"])
+    def test_bad_seed_is_refused(self, seed):
+        with pytest.raises(InvalidArgument, match="seed .* is (not an integer|negative)"):
+            param_sample(5, seed=seed)
+
+    def test_numpy_integer_seed_matches_int(self):
+        np = pytest.importorskip("numpy")
+        assert param_sample(6, seed=np.int64(3)).to_json() == param_sample(6, seed=3).to_json()
+
     def test_membership_rejects_bad_eps(self):
         p = param_sample(6, seed=1)
         J = next(iter(p.eps.eps))

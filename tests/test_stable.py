@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 from stablegons.chambers import EpsilonAssignment, LengthVector, augment
@@ -24,7 +25,9 @@ from stablegons.realize import (
 )
 from stablegons.stable import (
     StableNode,
+    StablePolygon,
     _collapsed_marks,
+    _triangle_frame,
     forget,
     limit,
     stabilize,
@@ -157,14 +160,12 @@ class TestValidate:
     def test_wrong_eps_flags_lengths(self):
         u = [[1, 0, 0], [1, 0, 0], [-1, 0, 0], [-1, 0, 0]]
         frame = EdgeFrame((1, 1, 1, 1), u)
-        sp = stabilize(frame, canonical_eps([1] * 4))
-        # rebuild one bubble over the wrong slack
-        from stablegons.stable import _triangle_frame
-
+        # hand the stabilizer one bubble built over the wrong slack
         bad = _triangle_frame(
             augment(LengthVector([1] * 4), (1, 2), F(1, 2)), (1, 2, 0)
         )
-        sp.find((1, 2)).frame = bad
+        sp = stabilize(frame, canonical_eps([1] * 4), filler={(1, 2): bad})
+        assert sp.find((1, 2)).frame is bad
         rep = validate(sp)
         assert not rep.ok
         assert any(c.name == "lengths" and not c.ok for c in rep.checks)
@@ -174,42 +175,39 @@ class TestValidate:
         sp = stabilize(frame, EpsilonAssignment.canonical(HEX_R))
         stray = StableNode(
             subset=(3, 4),
-            frame=sp.find((1, 2, 3)).frame,
+            frame=_triangle_frame(augment(HEX_R, (3, 4), 1), (3, 4, 0)),
             eps=F(1),
         )
-        sp.root.children.append(stray)
-        with pytest.raises(StructureError):
-            validate(sp)
+        with pytest.raises(StructureError, match=r"\[3, 4\]"):
+            replace(sp.root, children=sp.root.children + (stray,))
 
     def test_bubble_frame_without_closing_edge_raises(self):
         r = (3, 4, 5, 6, 7)
         frame = close_degenerate(r, [(1, 2)], seed=1)
         sp = stabilize(frame, canonical_eps(r), filler=1)
         node = sp.find((1, 2))
-        node.frame = EdgeFrame(node.frame.lengths, node.frame.u, (1, 2, 9))
+        bad = EdgeFrame(node.frame.lengths, node.frame.u, (1, 2, 9))
         with pytest.raises(StructureError, match=r"\[1, 2\]"):
-            validate(sp)
-        with pytest.raises(StructureError):
-            to_stable_curve(sp)
+            replace(node, frame=bad)
 
     def test_bubble_frame_with_wrong_edge_count_raises(self):
         r = (3, 4, 5, 6, 7)
         frame = close_degenerate(r, [(1, 2)], seed=1)
         sp = stabilize(frame, canonical_eps(r), filler=1)
         node = sp.find((1, 2))
-        node.frame = close((1, 1, 1, 1), seed=2)
         with pytest.raises(StructureError, match=r"\[1, 2\]"):
-            validate(sp)
-        with pytest.raises(StructureError):
-            to_stable_curve(sp)
+            replace(node, frame=close((1, 1, 1, 1), seed=2))
 
     def test_unbubbled_class_fails(self):
         frame = close_degenerate(HEX_R, [(1, 2, 3)], seed=4)
         sp = stabilize(frame, EpsilonAssignment.canonical(HEX_R))
-        sp.root.children.clear()
+        sp = StablePolygon(replace(sp.root, children=()))
         rep = validate(sp)
         assert not rep.ok
         assert any(c.name == "degenerations_match_children" and not c.ok for c in rep.checks)
+        refusal = r"degenerations_match_children@\[1, 2, 3, 4, 5, 6\]"
+        with pytest.raises(InvalidArgument, match=refusal):
+            to_stable_curve(sp)
 
     def test_strict_mode_on_nested_tree(self):
         r = LengthVector((1, 1, 1, 1, 10, 10, 10))
@@ -219,12 +217,86 @@ class TestValidate:
         # force a nested bubble inside the first one
         node = sp.find((1, 2, 3, 4))
         deg = close_degenerate(node.frame.lengths, [(1, 2)], seed=6)
-        node.frame = EdgeFrame(deg.lengths, deg.u, node.frame.labels)
-        node.children.clear()
-        sp2 = stabilize(forget(sp), eps, filler={(1, 2, 3, 4): node.frame})
+        inner = EdgeFrame(deg.lengths, deg.u, node.frame.labels)
+        sp2 = stabilize(forget(sp), eps, filler={(1, 2, 3, 4): inner})
         rep = validate(sp2, strict=True)
         assert rep.ok
         assert any(c.name == "ancestor_collapse" for c in rep.checks)
+
+    def test_structure_checks_left_validate(self):
+        # every tree that can be built is well-formed, so validate only
+        # reports on geometry
+        import stablegons.stable as stable
+
+        assert not hasattr(stable, "_laminar")
+        frame = close_degenerate(HEX_R, [(1, 2, 3)], seed=4)
+        sp = stabilize(frame, EpsilonAssignment.canonical(HEX_R))
+        assert not hasattr(sp, "eps")
+        names = [c.name for c in validate(sp).checks]
+        assert names[:2] == ["closed", "lengths"]
+        assert sp.root_r is frame.lengths
+
+
+class TestTreeIsReadOnly:
+    def hexagon(self):
+        frame = close_degenerate(HEX_R, [(1, 2, 3)], seed=4)
+        return stabilize(frame, EpsilonAssignment.canonical(HEX_R))
+
+    def test_node_and_polygon_refuse_assignment(self):
+        sp = self.hexagon()
+        node = sp.find((1, 2, 3))
+        for target, name, value in [
+            (node, "frame", sp.root.frame),
+            (node, "eps", F(1, 2)),
+            (node, "children", ()),
+            (sp.root, "subset", (1, 2)),
+            (sp, "root", node),
+        ]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(target, name, value)
+        assert isinstance(sp.root.children, tuple)
+        with pytest.raises(AttributeError):
+            sp.root.children.append(node)
+
+    def test_mislabelled_root_frame_raises(self):
+        frame = close_degenerate(HEX_R, [(1, 2, 3)], seed=4)
+        with pytest.raises(StructureError, match=r"\[1, 2, 3, 4, 5\]"):
+            StableNode((1, 2, 3, 4, 5), frame, None)
+
+    def test_child_escaping_its_parent_raises(self):
+        node = self.hexagon().find((1, 2, 3))
+        stray = StableNode(
+            (3, 4), _triangle_frame(augment(HEX_R, (3, 4), 1), (3, 4, 0)), F(1)
+        )
+        # the same subset is not a proper one, and (3, 4) leaves (1, 2, 3)
+        for child in (node, stray):
+            with pytest.raises(StructureError, match=r"escapes parent \[1, 2, 3\]"):
+                replace(node, children=(child,))
+
+    def test_child_without_slack_raises(self):
+        sp = self.hexagon()
+        node = sp.find((1, 2, 3))
+        loose = StableNode(
+            (1, 2, 3), EdgeFrame(node.frame.lengths.r[:3], node.frame.u[:3]), None
+        )
+        with pytest.raises(StructureError, match=r"child \[1, 2, 3\] .* has no slack"):
+            replace(sp.root, children=(loose,))
+
+    def test_overlapping_siblings_raise(self):
+        sp = self.hexagon()
+        node = sp.find((1, 2, 3))
+        with pytest.raises(StructureError, match=r"\[1, 2, 3\] .* overlaps"):
+            replace(sp.root, children=(node, node))
+
+    def test_polygon_refuses_a_root_that_is_not_one_to_n_without_slack(self):
+        sp = self.hexagon()
+        shifted = StableNode(
+            (2, 3, 4, 5), EdgeFrame((1, 1, 1, 1), close([1] * 4, seed=1).u, (2, 3, 4, 5)), None
+        )
+        for root in (sp.find((1, 2, 3)), shifted):
+            with pytest.raises(StructureError, match="root must carry"):
+                StablePolygon(root)
+        assert StablePolygon(sp.root) == sp
 
 
 class TestForget:
