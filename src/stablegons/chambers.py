@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -544,19 +545,21 @@ def augment(r, J, eps_J) -> LengthVector:
 class EpsilonAssignment:
     """A choice of slack eps_J for each relevant subset J.
 
-    Explicit entries live in `eps`; `default` (if set) answers for any other
-    subset, which is how the canonical choice eps_J = min_i r_i is carried
-    without materializing all 2^(n-1) subsets.
+    Explicit entries live in `eps`, built from a mapping of subsets to slacks
+    (anything else raises InvalidArgument); `default` (if set) answers for
+    any other subset, which is how the canonical choice eps_J = min_i r_i is
+    carried without materializing all 2^(n-1) subsets.
     """
 
     def __init__(self, eps=None, default=None):
         self.eps = {}
-        if eps:
-            for J, v in dict(eps).items():
-                try:
-                    self.eps[frozenset(map(_label, J))] = rational(v)
-                except TypeError:
-                    raise InvalidArgument(f"J={J!r} is not a collection of labels") from None
+        if eps is not None and not isinstance(eps, Mapping):
+            raise InvalidArgument(f"eps={eps!r} is not a mapping from subsets to slacks")
+        for J, v in (eps or {}).items():
+            try:
+                self.eps[frozenset(map(_label, J))] = rational(v)
+            except TypeError:
+                raise InvalidArgument(f"J={J!r} is not a collection of labels") from None
         self.default = None if default is None else rational(default)
 
     @classmethod

@@ -343,7 +343,8 @@ def poincare_wall_crossing(r) -> PoincarePoly:
     term for every wall on which r and the reference differ in sign.  The
     order of the crossings, and whether a path meets two walls at one point,
     cannot change that sum, so it is evaluated in one pass over the integer
-    subset-sum table of r without choosing a path.
+    subset-sum table of r without choosing a path.  Only the wall masks are
+    kept, per n; the heavy walls of r are counted anew on every call.
     """
     r = as_length_vector(r)
     if r.n < 4:
@@ -357,20 +358,16 @@ def poincare_wall_crossing(r) -> PoincarePoly:
     # (2|J| < 2n - 3 for |J| <= n-2, since n is not in J), so r crossed the
     # walls where J is heavy at r, each into J's heavy side
     crossed = [0] * (n - 1)  # net crossings, by |J|
-    for w, m in zip(*_canonical_walls(n)):
-        margin = 2 * sums[m] - total
-        if margin == 0:
-            raise InvalidArgument("r lies on a wall; its space is singular")
-        if margin > 0:
-            crossed[len(w.J)] += 1
-    poly = PoincarePoly.projective(n - 3)
-    for size, count in enumerate(crossed):
-        if count:
-            gain = PoincarePoly.projective(size - 2) - PoincarePoly.projective(
-                n - size - 2
-            )
-            poly = poly + count * gain
-    return poly
+    for m in _canonical_walls(n)[1]:
+        if 2 * sums[m] >= total:
+            if 2 * sums[m] == total:
+                raise InvalidArgument("r lies on a wall; its space is singular")
+            crossed[m.bit_count()] += 1
+    # P^(n-3) plus P^(|J|-2) - P^(n-|J|-2) per crossing: the coefficient of
+    # t^(2i) gains the crossings with |J| > i + 1, loses those with |J| < n - 1 - i
+    return PoincarePoly(
+        1 + sum(crossed[i + 2 :]) - sum(crossed[: n - 1 - i]) for i in range(n - 2)
+    )
 
 
 def _center_series(n: int) -> PoincarePoly:
@@ -402,6 +399,7 @@ def ih_poincare_center(n: int) -> PoincarePoly:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _e_open(k: int) -> tuple:
     """E-polynomial of M_{0,k}, the open stratum of every k-gon space:
     prod_{i=2}^{k-2} (t^2 - i) as a coefficient tuple, (1,) for k = 3."""
@@ -446,6 +444,21 @@ def _block_sums(s: int, largest: int) -> tuple:
     return tuple(map(tuple, out))
 
 
+@functools.cache
+def _packed_weights(n: int) -> tuple:
+    """(width, weights): the digit width of the packed polynomials at n, and
+    a tuple holding B(b) packed into one int at index b = 2..n-1.
+
+    f's coefficient of y^k t^i sits at bit width * (n k + i).  It counts
+    weighted partitions (B holds Betti numbers), at most the sum of all
+    coefficients of _block_sums(n, n - 1), and a child of b labels adds
+    b - 2 to the t-degree, so i < n and no digit carries."""
+    width = sum(map(sum, _block_sums(n, n - 1))).bit_length()
+    return width, (0, 0) + tuple(
+        sum(c << width * i for i, c in enumerate(_bubble_sum(b))) for b in range(2, n)
+    )
+
+
 def _forest(R: int, children: dict, memo: dict, y: int) -> int:
     """f(R): the children's products summed over the ways to split the labels
     of R into loose labels and children, with y counting special points.
@@ -481,6 +494,9 @@ def stable_betti(r, eps: Optional[EpsilonAssignment] = None) -> PoincarePoly:
     bubble over m labels contributes B(m) whatever the slacks, so `eps` is
     only checked: explicit slacks must be legal for r (see
     :meth:`EpsilonAssignment.legal_for`), or :class:`RangeError` is raised.
+    What depends on n alone is kept per n: the packed B(b) and their digit
+    width, the candidate subsets and E(M_{0,k}).  Nothing is kept per r or
+    per chamber, so every call sums its own trees.
     """
     r = as_length_vector(r)
     n = r.n
@@ -496,24 +512,17 @@ def stable_betti(r, eps: Optional[EpsilonAssignment] = None) -> PoincarePoly:
             "resolution step)"
         )
     _require_legal(r, eps)
-    # f's coefficient of y^k t^i sits at bit width * (n k + i).  It counts
-    # weighted partitions (B holds Betti numbers), at most the sum of all
-    # coefficients of _block_sums(n, n - 1), and a child of b labels adds
-    # b - 2 to the t-degree, so i < n and no digit carries.
-    width = sum(map(sum, _block_sums(n, n - 1))).bit_length()
-    weights = {
-        b: sum(c << width * i for i, c in enumerate(_bubble_sum(b))) for b in range(2, n)
-    }
-    full = len(sums) - 1
+    width, weights = _packed_weights(n)
+    total = sums[-1]
     children = {}
-    for C in range(3, full):
-        if C & (C - 1) and 2 * sums[C] < sums[full]:
-            weight = weights[C.bit_count()]
-            children.setdefault(C & -C, {}).setdefault(weight, []).append(C)
-    f = _forest(full, children, {0: 1}, n * width)
+    for C, J in _bubble_candidates(n):
+        if 2 * sums[C] < total:
+            children.setdefault(C & -C, {}).setdefault(weights[len(J)], []).append(C)
+    f = _forest(len(sums) - 1, children, {0: 1}, n * width)
+    digit = (1 << width) - 1
     out = []
-    for k in range(n + 1):
-        acc = [f >> width * (n * k + i) & ((1 << width) - 1) for i in range(n)]
+    for k in range(3, n + 1):  # two short subsets never cover all n labels
+        acc = [f >> width * (n * k + i) & digit for i in range(n)]
         _poly_add_into(out, _poly_mul(_e_open(k), acc))
     poly = PoincarePoly(out)
     if any(c < 0 for c in poly.coeffs) or not poly.palindromic():

@@ -82,6 +82,7 @@ class StableNode:
     bubble over J has the slack eps_J and a frame over (r_J, sum_J r_j - eps_J)
     labelled J plus FREE_EDGE.  Children are bubbles over proper subsets, and
     siblings are disjoint, so the subsets of a tree form a laminar family.
+    A subset is strictly increasing, and a bubble's has at least 2 labels.
     A node that breaks these rules raises StructureError naming its subset.
     """
 
@@ -92,6 +93,10 @@ class StableNode:
 
     def __post_init__(self):
         name = list(self.subset)
+        if any(a >= b for a, b in zip(self.subset, self.subset[1:])):
+            raise StructureError(f"subset {name} is not strictly increasing")
+        if self.eps is not None and len(self.subset) < 2:
+            raise StructureError(f"bubble {name} has fewer than 2 labels")
         want = self.subset if self.eps is None else self.subset + (FREE_EDGE,)
         if self.frame.labels != want:
             raise StructureError(f"frame of {name} must be labelled {list(want)}")

@@ -338,6 +338,12 @@ def test_non_iterable_subset_is_refused(J):
         EpsilonAssignment({J: 1})
 
 
+@pytest.mark.parametrize("eps", [5, 1.5, "12", [((1, 2), 1)]])
+def test_non_mapping_slacks_are_refused(eps):
+    with pytest.raises(InvalidArgument, match="is not a mapping from subsets to slacks"):
+        EpsilonAssignment(eps)
+
+
 def test_augment_checks_its_subset_once(monkeypatch):
     calls = []
     check = chambers._check_subset

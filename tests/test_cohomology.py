@@ -436,6 +436,19 @@ class TestWallCrossing:
         with pytest.raises(InvalidArgument):
             poincare_wall_crossing((1, 1, 1, 1, 2))
 
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_rejects_a_vector_on_exactly_one_wall(self, n):
+        # 2^n + 2^(i-1) for i < n have distinct subset sums, so setting r_n to
+        # balance J against the rest puts r on the wall of J and on no other
+        w = [2**n + 2 ** (i - 1) for i in range(1, n)]
+        J = tuple(range(1, n - 1))
+        r = w + [sum(w[: n - 2]) - w[n - 2]]
+        assert classify(r).walls_on == [J]
+        with pytest.raises(InvalidArgument, match="on a wall"):
+            poincare_wall_crossing(r)
+        with pytest.raises(InvalidArgument, match="on a wall"):
+            stable_betti(r)
+
     def test_crossing_reversibility_and_duality(self):
         rng = random.Random(5)
         for n in (5, 6, 7):
@@ -553,6 +566,29 @@ class TestStableBetti:
     def test_open_part_of_pentagon(self):
         # E of the locus with no parallel edges: t^4 - 5 t^2 + 6
         assert cohomology._e_open(5) == (6, -5, 1)
+
+    def test_cached_per_n_values_are_immutable(self):
+        # the caches hand the same object to every call
+        for k in range(1, 13):
+            assert type(cohomology._e_open(k)) is tuple
+        for n in range(4, 13):
+            width, weights = cohomology._packed_weights(n)
+            assert type(weights) is tuple and len(weights) == n
+
+    def test_cold_and_warm_caches_agree(self):
+        for cached in (
+            cohomology._e_open,
+            cohomology._bubble_sum,
+            cohomology._block_sums,
+            cohomology._packed_weights,
+        ):
+            cached.cache_clear()
+        sizes = (*range(12, 3, -1), *range(4, 13))
+        for n in sizes:
+            assert stable_betti(central_base(n)) == keel(n), n
+        for n in sizes:
+            if n % 2:
+                assert poincare_wall_crossing([1] * n) == poincare_center(n), n
 
     def test_rejects_on_wall(self):
         with pytest.raises(InvalidArgument):

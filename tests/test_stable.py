@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from dataclasses import FrozenInstanceError, replace
@@ -262,6 +264,22 @@ class TestTreeIsReadOnly:
         frame = close_degenerate(HEX_R, [(1, 2, 3)], seed=4)
         with pytest.raises(StructureError, match=r"\[1, 2, 3, 4, 5\]"):
             StableNode((1, 2, 3, 4, 5), frame, None)
+
+    def test_unsorted_subset_and_one_label_bubble_raise(self):
+        # find and DualCurve.vertex look a node up by its sorted subset, so a
+        # node over (2, 1) or (1, 1) would never be found
+        for subset in ((2, 1), (1, 1)):
+            frame = _triangle_frame(augment(HEX_R, (1, 2), F(1, 2)), subset + (0,))
+            name = re.escape(str(list(subset)))
+            with pytest.raises(StructureError, match=f"{name} is not strictly"):
+                StableNode(subset, frame, F(1, 2))
+        segment = EdgeFrame((1, 1), [[1, 0, 0], [-1, 0, 0]], (3, 0))
+        with pytest.raises(StructureError, match=r"bubble \[3\] has fewer than 2 labels"):
+            StableNode((3,), segment, F(1, 2))
+        root = close_degenerate(HEX_R, [(1, 2, 3)], seed=4)
+        shuffled = EdgeFrame(root.lengths.r, root.u, (2, 1, 3, 4, 5, 6))
+        with pytest.raises(StructureError, match=r"\[2, 1, 3, 4, 5, 6\] is not strictly"):
+            StableNode((2, 1, 3, 4, 5, 6), shuffled, None)
 
     def test_child_escaping_its_parent_raises(self):
         node = self.hexagon().find((1, 2, 3))
