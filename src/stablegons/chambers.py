@@ -36,14 +36,15 @@ import functools
 import itertools
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from typing import Iterable, Optional
 
 from .errors import InternalError, InvalidArgument, RangeError
 
 __all__ = [
+    "MAX_N",
+    "FLOAT_RANGE",
     "rational",
     "LengthVector",
     "WallIndex",
@@ -65,6 +66,19 @@ __all__ = [
     "canonical_epsilon",
     "augment",
 ]
+
+# the largest n whose 2^n subset sums, canonical walls or bubble candidates
+# are tabulated; above it those layers raise RangeError before allocating
+MAX_N = 20
+
+# LengthVector.floats() refuses a float outside this range; inside it,
+# squares, products of three and (2 sum r)^3 stay finite and normal
+FLOAT_RANGE = (2.0**-300, 2.0**300)
+
+
+def _require_tabulable(n: int) -> None:
+    if n > MAX_N:
+        raise RangeError(f"n={n} is above {MAX_N}, the largest n whose 2^n subsets are tabulated")
 
 
 def rational(x) -> Fraction:
@@ -116,9 +130,11 @@ class LengthVector:
         """All 2^n subset sums of `ints`, indexed by bitmask (bit j-1 for label j).
 
         Built on first use by one doubling pass and kept on the vector; the
-        last entry is the perimeter times `den`.
+        last entry is the perimeter times `den`.  n above :data:`MAX_N`
+        raises RangeError.
         """
         if self._sums is None:
+            _require_tabulable(self.n)
             sums = [0]
             for v in self.ints:
                 sums += [s + v for s in sums]
@@ -129,11 +145,19 @@ class LengthVector:
         """The lengths as floats, built on first use and kept.
 
         Each is ints[i] / den; int true division rounds correctly, so it is
-        float(r_i) bit for bit.
+        float(r_i) bit for bit.  A float outside :data:`FLOAT_RANGE` raises
+        RangeError.
         """
         if self._floats is None:
             den = self.den
-            self._floats = tuple(i / den for i in self.ints)
+            try:
+                floats = [i / den for i in self.ints]
+            except OverflowError:
+                floats = [inf]
+            ends = sorted(floats)  # cheaper than min and max at these sizes
+            if ends[0] < FLOAT_RANGE[0] or ends[-1] > FLOAT_RANGE[1]:
+                raise RangeError("every length must lie in [2^-300, 2^300] as a float")
+            self._floats = tuple(floats)
         return self._floats
 
     def perimeter(self) -> Fraction:
@@ -210,16 +234,31 @@ def _check_subset(J, n, name: str = "J") -> tuple:
     return J
 
 
-@dataclass(frozen=True)
-class WallIndex:
+class _Record:
+    """Fields named by `__slots__`; equal only to a record of the same class
+    with equal fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = operator.attrgetter(*self.__slots__)
+        return fields(self) == fields(other)
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+
+class WallIndex(_Record):
     """Canonical name for an interior wall: the side of {J, J^c} avoiding n.
 
     Only 2 <= |J| <= n-2 define interior walls; singleton sides are facets of
-    the cone and are excluded.
+    the cone and are excluded.  Read-only and hashable.
     """
 
-    J: tuple
-    n: int
+    __slots__ = ("J", "n")
 
     def __init__(self, J, n: int):
         J = _check_subset(J, n)
@@ -231,6 +270,17 @@ class WallIndex:
             )
         object.__setattr__(self, "J", J)
         object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: a WallIndex is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return WallIndex, (self.J, self.n)
+
+    def __hash__(self):
+        return hash((self.J, self.n))
 
     def __repr__(self):
         return f"W{list(self.J)}"
@@ -247,9 +297,10 @@ def wall_margin(r, J) -> Fraction:
 
 
 def all_walls(n: int):
-    """All interior walls of the n-gon cone, canonically indexed."""
+    """All interior walls of the n-gon cone, canonically indexed; n <= MAX_N."""
     if n < 3:
         raise InvalidArgument("need n >= 3")
+    _require_tabulable(n)
     out = []
     for k in range(2, n - 1):
         for J in itertools.combinations(range(1, n), k):
@@ -271,6 +322,7 @@ def _canonical_walls(n: int) -> tuple:
 @functools.cache
 def _bubble_candidates(n: int) -> tuple:
     """(mask, J) for every J with 2 <= |J| <= n-2 over all n labels, sorted by J."""
+    _require_tabulable(n)
     out = [
         (_mask(J), J)
         for k in range(2, n - 1)
@@ -426,16 +478,27 @@ def _walls_on(sums: list, n: int) -> list:
     return [w.J for w, m in zip(walls, masks) if 2 * sums[m] == sums[-1]]
 
 
-@dataclass
-class ClassifyReport:
-    in_cone_interior: bool
-    signature: ChamberSignature
-    walls_on: list
-    line_gons: list
-    smooth: bool
-    favorable_index: Optional[int]
-    nabla_index: Optional[int]
-    central: bool
+class ClassifyReport(_Record):
+    """The exact chamber report of :func:`classify`."""
+
+    __slots__ = (
+        "in_cone_interior", "signature", "walls_on", "line_gons", "smooth",
+        "favorable_index", "nabla_index", "central",
+    )
+
+    def __init__(
+        self, in_cone_interior: bool, signature: ChamberSignature, walls_on: list,
+        line_gons: list, smooth: bool, favorable_index: Optional[int],
+        nabla_index: Optional[int], central: bool,
+    ):
+        self.in_cone_interior = in_cone_interior
+        self.signature = signature
+        self.walls_on = walls_on
+        self.line_gons = line_gons
+        self.smooth = smooth
+        self.favorable_index = favorable_index
+        self.nabla_index = nabla_index
+        self.central = central
 
     def to_json(self):
         return {

@@ -10,11 +10,9 @@ exactly: "3.5" means 7/2.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
-from . import cohomology, cone
 from .chambers import EpsilonAssignment, LengthVector, classify, rational
 from .errors import InvalidArgument, NonConvergence
 
@@ -58,13 +56,15 @@ def parse_eps(text, r: LengthVector) -> EpsilonAssignment:
 
 
 def parse_tols(pairs):
+    from dataclasses import replace
+
     from .realize import Tolerances
 
     tol = Tolerances()
     for item in pairs or []:
         try:
             name, val = item.split("=")
-            tol = dataclasses.replace(tol, **{name: float(val)})
+            tol = replace(tol, **{name: float(val)})
         except (ValueError, TypeError) as exc:
             raise InvalidArgument(f"cannot parse --tol {item!r}: {exc}") from None
     return tol
@@ -207,6 +207,8 @@ def run(args) -> int:
             emit(cmd, _options(args), curve.to_json())
 
     elif cmd == "strata":
+        from . import cohomology
+
         r = parse_lengths(args.r)
         entries, edges = cohomology.strata(r, include_empty=args.include_empty)
         emit(
@@ -221,6 +223,8 @@ def run(args) -> int:
         )
 
     elif cmd == "schedule":
+        from . import cohomology
+
         r = parse_lengths(args.r)
         eps = parse_eps(args.eps, r)
         steps = cohomology.schedule(r, eps)
@@ -230,6 +234,8 @@ def run(args) -> int:
             emit(cmd, _options(args), [s.to_json() for s in steps])
 
     elif cmd == "poincare":
+        from . import cohomology
+
         if args.method == "closed":
             n = args.n if args.n else parse_lengths(args.r).n
             poly = (
@@ -249,6 +255,8 @@ def run(args) -> int:
         emit(cmd, _options(args), {"coefficients": poly.to_json()})
 
     elif cmd == "cone":
+        from . import cone
+
         points = [cone.param_sample(args.n, seed=args.seed + i) for i in range(args.sample)]
         ok = all(
             p.r.n + len(p.eps.eps) == cone.param_dim(args.n) and cone.param_contains(p)

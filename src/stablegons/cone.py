@@ -16,7 +16,6 @@ the dimension count, and a deterministic sampler.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -28,6 +27,7 @@ from .chambers import (
     relevant_subsets,
     signature,
     _central_signature,
+    _Record,
     _seed,
 )
 from .errors import InternalError, InvalidArgument
@@ -86,12 +86,13 @@ def theta(r, base: Optional[LengthVector] = None) -> tuple:
     return r.r
 
 
-@dataclass
-class ParamPoint:
+class ParamPoint(_Record):
     """A length vector in the central chamber plus slacks for R_{>2}(r)."""
 
-    r: LengthVector
-    eps: EpsilonAssignment
+    __slots__ = ("r", "eps")
+
+    def __init__(self, r: LengthVector, eps: EpsilonAssignment):
+        self.r, self.eps = r, eps
 
     def to_json(self):
         return {"r": [str(x) for x in self.r.r], "eps": self.eps.to_json()}

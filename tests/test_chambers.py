@@ -530,3 +530,120 @@ def test_subset_sum_table_matches_fraction_reference():
             assert signature(other) == sig
             assert hash(signature(other)) == hash(sig)
     assert on_wall >= 50
+
+
+def test_wall_index_is_a_read_only_value():
+    import copy
+    import pickle
+
+    w = WallIndex((4, 5), 5)
+    assert repr(w) == "W[1, 2, 3]"
+    assert hash(w) == hash(((1, 2, 3), 5))
+    assert w == WallIndex([3, 2, 1], 5) and w != WallIndex((1, 2, 3), 6)
+    assert w != ((1, 2, 3), 5) and w != (1, 2, 3)
+    assert {w: 1}[WallIndex((1, 2, 3), 5)] == 1
+    assert pickle.loads(pickle.dumps(w)) == w and copy.deepcopy(w) == w
+    with pytest.raises(AttributeError):
+        w.J = (1, 2)
+    with pytest.raises(AttributeError):
+        w.extra = 1
+    with pytest.raises(AttributeError):
+        del w.n
+    assert w.J == (1, 2, 3) and w.n == 5
+
+
+def test_classify_report_is_a_record():
+    r = (1, 1, 1, 1, F(7, 2))
+    rep = classify(r)
+    fields = dict(
+        in_cone_interior=True, signature=signature(r), walls_on=[], line_gons=[],
+        smooth=True, favorable_index=5, nabla_index=None, central=False,
+    )
+    assert rep == chambers.ClassifyReport(**fields)
+    assert rep == chambers.ClassifyReport(*fields.values())
+    assert rep != chambers.ClassifyReport(**dict(fields, central=True))
+    assert rep != tuple(fields.values())
+    assert repr(rep).startswith("ClassifyReport(in_cone_interior=True, signature=")
+    assert repr(rep).endswith("nabla_index=None, central=False)")
+    for args, kwargs in [
+        ((), {k: v for k, v in fields.items() if k != "central"}),
+        ((True,), fields),
+        ((), dict(fields, bogus=1)),
+        (tuple(fields.values()) + (1,), {}),
+    ]:
+        with pytest.raises(TypeError):
+            chambers.ClassifyReport(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        classify,
+        signature,
+        relevant_subsets,
+        lambda r: same_chamber(r, r),
+        line_gons,
+        lambda r: chambers.all_walls(len(r)),
+        lambda r: chambers._canonical_walls(len(r)),
+        lambda r: chambers._bubble_candidates(len(r)),
+        lambda r: stablegons.stable_betti(r),
+        lambda r: stablegons.poincare_wall_crossing(r),
+        lambda r: stablegons.schedule(r),
+        lambda r: stablegons.strata(r),
+        lambda r: stablegons.central_contains(r),
+        lambda r: stablegons.param_sample(len(r)),
+    ],
+)
+def test_tables_refuse_n_above_the_ceiling(call):
+    with pytest.raises(RangeError, match=f"n={chambers.MAX_N + 1} is above"):
+        call(LengthVector(range(1, chambers.MAX_N + 2)))
+
+
+def test_table_at_the_ceiling():
+    assert chambers.MAX_N >= 15
+    r = LengthVector([1] * chambers.MAX_N)
+    sums = r.subset_sums()
+    assert len(sums) == 2**chambers.MAX_N and sums[-1] == chambers.MAX_N
+    wide = LengthVector([1] * 30)  # what needs no table still runs
+    assert wide.in_cone_interior() and favorable_index(wide) is None
+    assert wall_margin(wide, range(1, 16)) == 0
+
+
+LOW, HIGH = (F(x) for x in chambers.FLOAT_RANGE)
+ULP = F(1, 2**52)
+
+
+@pytest.mark.parametrize(
+    "length, inside",
+    [
+        (HIGH, True),
+        (float(HIGH), True),
+        (HIGH * (1 + ULP / 4), True),  # its float rounds down to the edge
+        (HIGH * (1 + ULP), False),
+        (float(HIGH * (1 + ULP)), False),
+        (LOW, True),
+        (float(LOW), True),
+        (LOW * (1 - ULP / 4), True),  # its float rounds up to the edge
+        (LOW * (1 - ULP / 2), False),
+        (float(LOW * (1 - ULP / 2)), False),
+        (1e308, False),
+        (1e-320, False),
+        (10**400, False),
+        (F(1, 10**400), False),
+    ],
+)
+def test_float_shadow_range(length, inside):
+    r = LengthVector([length, 1, 1])
+    if inside:
+        assert r.floats() == (float(F(length)), 1.0, 1.0)
+        assert chambers.FLOAT_RANGE[0] <= r.floats()[0] <= chambers.FLOAT_RANGE[1]
+    else:
+        with pytest.raises(RangeError, match=r"\[2\^-300, 2\^300\]"):
+            r.floats()
+        assert r._floats is None
+
+
+def test_exact_layer_takes_lengths_outside_the_float_range():
+    big = classify([10**400] * 4)
+    assert big.in_cone_interior and not big.smooth
+    assert relevant_subsets([F(1, 10**400)] * 5, 2) == relevant_subsets([1] * 5, 2)

@@ -260,3 +260,27 @@ def test_interpolating_family_matches_per_edge_rotation(monkeypatch):
     for r, J, seed in cases:
         got, want = _interpolating_family(r, J, seed, 12), per_edge(r, J, seed, 12)
         assert all(np.array_equal(a.u, b.u) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("realize", "--r", "1e308,1e308,1e308"),
+        ("realize", "--r", "1e-320,1e-320,1e-320,1e-320"),
+        ("realize", "--r", "1e400,1e400,1e400,1e400", "--parallel", "1,2"),
+        ("classify", "--r", ",".join(["1"] * 21)),
+        ("strata", "--r", ",".join(["1"] * 21)),
+        ("poincare", "--r", ",".join(["1"] * 21), "--method", "stable"),
+        ("cone", "--n", "21", "--sample", "1"),
+    ],
+)
+def test_range_errors_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and ("2^300" in err or "n=21 is above" in err)
+
+
+def test_classify_is_exact_beyond_the_float_range(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--r", "1e400,1e400,1e400,3e400")
+    assert code == 0
+    assert json.loads(out)["result"]["in_cone_interior"] is False

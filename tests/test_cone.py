@@ -162,3 +162,17 @@ class TestParamCone:
             assert central_contains(r)
             last = m
         assert not central_contains(on_wall)
+
+
+def test_param_point_is_a_record():
+    p = param_sample(6, seed=2)
+    assert p == ParamPoint(r=p.r, eps=p.eps) == ParamPoint(p.r, p.eps)
+    assert p != ParamPoint(p.r, EpsilonAssignment(p.eps.eps))  # slacks compare by identity
+    assert p != (p.r, p.eps)
+    assert repr(p) == f"ParamPoint(r={p.r!r}, eps={p.eps!r})"
+    with pytest.raises(TypeError):
+        ParamPoint(p.r)
+    with pytest.raises(TypeError):
+        ParamPoint(p.r, r=p.r)
+    with pytest.raises(TypeError):
+        ParamPoint(p.r, p.eps, None)

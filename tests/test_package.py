@@ -54,6 +54,10 @@ def test_lazy_names_are_the_submodule_objects():
     assert stablegons.Tolerances is stablegons.realize.Tolerances
     assert stablegons.stabilize is stablegons.stable.stabilize
     assert stablegons.DualCurve is stablegons.stable.DualCurve
+    assert stablegons.stable_betti is stablegons.cohomology.stable_betti
+    assert stablegons.PoincarePoly is stablegons.cohomology.PoincarePoly
+    assert stablegons.param_sample is stablegons.cone.param_sample
+    assert stablegons.ParamPoint is stablegons.cone.ParamPoint
 
 
 def test_star_import_binds_every_export():
@@ -113,3 +117,61 @@ def test_exact_core_runs_without_numpy():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr.decode()
+
+
+# run in a fresh interpreter: prints the modules each step newly loaded
+FOOTPRINT = """
+import contextlib, io, json, sys
+
+steps, seen = {}, set(sys.modules)
+
+def step(name):
+    global seen
+    steps[name] = sorted(set(sys.modules) - seen)
+    seen = set(sys.modules)
+
+import stablegons
+step("import")
+from stablegons import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["classify", "--r", "1,1,1,1,3.5"]) == 0
+step("classify")
+stablegons.param_sample(5)
+step("param_sample")
+stablegons.stable_betti((1, 1, 1, 1, 1))
+step("stable_betti")
+print(json.dumps(steps))
+"""
+
+
+@pytest.fixture(scope="module")
+def footprint():
+    src = str(pathlib.Path(stablegons.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    return json.loads(done.stdout)
+
+
+def test_import_loads_only_the_chamber_layer(footprint):
+    loaded = footprint["import"]
+    assert [m for m in loaded if m.startswith("stablegons")] == [
+        "stablegons", "stablegons.chambers", "stablegons.errors",
+    ]
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
+def test_cli_classify_loads_no_other_layer(footprint):
+    loaded = footprint["import"] + footprint["classify"]
+    assert "stablegons.cli" in loaded
+    assert not {"stablegons.cohomology", "stablegons.cone", "dataclasses"} & set(loaded)
+
+
+def test_first_use_loads_the_layer(footprint):
+    assert "stablegons.cone" in footprint["param_sample"]
+    assert "stablegons.cohomology" not in footprint["param_sample"]
+    assert "stablegons.cohomology" in footprint["stable_betti"]

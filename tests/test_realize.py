@@ -11,6 +11,7 @@ from stablegons.errors import (
     InvalidArgument,
     NoModuli,
     NonConvergence,
+    RangeError,
 )
 from stablegons.realize import (
     EdgeFrame,
@@ -796,3 +797,21 @@ class TestDominantEdge:
             classes = parallel_classes(P)
             cls5 = next(c for c in classes if 5 in c)
             assert cls5 == [5]
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize(
+        "r", [[1e308] * 3, [1e308] * 4, [1e-320] * 4, [10**400] * 4, [Fraction(1, 10**400)] * 4]
+    )
+    def test_lengths_outside_are_refused(self, r):
+        with pytest.raises(RangeError, match=r"\[2\^-300, 2\^300\]"):
+            close(r, seed=0)
+        with pytest.raises(RangeError, match=r"\[2\^-300, 2\^300\]"):
+            close_degenerate(r + r[:1], [(1, 2)], seed=0)
+
+    def test_lengths_at_the_edges_close(self):
+        for r in ([2**300] * 3, [Fraction(1, 2**300)] * 4, [Fraction(1, 2**300)] * 6):
+            frame = close(r, seed=0)
+            assert frame.residual <= 1e-10 * max(frame.r)
+        frame = close_degenerate([Fraction(1, 2**300)] * 5, [(1, 2)], seed=0)
+        assert frame.residual <= 1e-10 * max(frame.r)
