@@ -20,7 +20,8 @@ which the vector builds on first use and keeps; the margin of J is then
 (2 sums[J] - sum r) / den.  Queries that involve only pairs of edges
 (:func:`is_favorable`, :func:`favorable_index`, :func:`nabla_index`) and
 single margins (:func:`wall_margin`) are computed from ``ints`` directly and
-never build the table.
+never build the table: :func:`favorable_index` reads the two smallest lengths,
+and :func:`nabla_index` is None for n >= 5 without a scan.
 
 The module also carries the bookkeeping that feeds the bubble-tree machinery:
 which subsets J may acquire a bubble (the "relevant" ones, where J is the
@@ -37,7 +38,7 @@ import itertools
 import operator
 from collections.abc import Mapping
 from fractions import Fraction
-from math import inf, lcm
+from math import ceil, inf, lcm
 from typing import Iterable, Optional
 
 from .errors import InternalError, InvalidArgument, RangeError
@@ -301,35 +302,46 @@ def all_walls(n: int):
     if n < 3:
         raise InvalidArgument("need n >= 3")
     _require_tabulable(n)
+    # each J is sorted, avoids n and has 2..n-2 labels: fill the slots directly
+    new, put = WallIndex.__new__, object.__setattr__
     out = []
     for k in range(2, n - 1):
         for J in itertools.combinations(range(1, n), k):
-            out.append(WallIndex(J, n))
+            w = new(WallIndex)
+            put(w, "J", J)
+            put(w, "n", n)
+            out.append(w)
     return out
-
-
-def _mask(J) -> int:
-    return sum(1 << (j - 1) for j in J)
 
 
 @functools.cache
 def _canonical_walls(n: int) -> tuple:
     """(walls, masks): :func:`all_walls` of n and the bitmask of each wall's J."""
     walls = tuple(all_walls(n))
-    return walls, tuple(_mask(w.J) for w in walls)
+    bits = [1 << j for j in range(n - 1)]  # the same combinations, as bits
+    each = (itertools.combinations(bits, k) for k in range(2, n - 1))
+    return walls, tuple(map(sum, itertools.chain.from_iterable(each)))
 
 
 @functools.cache
-def _bubble_candidates(n: int) -> tuple:
-    """(mask, J) for every J with 2 <= |J| <= n-2 over all n labels, sorted by J."""
+def _bubble_candidates(n: int, lo: int = 2) -> tuple:
+    """(mask, J) for every J with lo <= |J| <= n-2 over all n labels, sorted by J."""
+    if lo > 2:  # share the pairs of the full table
+        return tuple(c for c in _bubble_candidates(n) if len(c[1]) >= lo)
     _require_tabulable(n)
-    out = [
-        (_mask(J), J)
-        for k in range(2, n - 1)
-        for J in itertools.combinations(range(1, n + 1), k)
-    ]
-    out.sort(key=lambda item: item[1])
-    return tuple(out)
+    out = []  # every nonempty J within {a..n}, sorted, for a = n down to 1
+    for a in range(n, 0, -1):
+        bit = 1 << (a - 1)
+        out = [(bit, (a,))] + [(bit | m, (a,) + J) for m, J in out] + out
+    return tuple(c for c in out if 2 <= len(c[1]) <= n - 2)
+
+
+def _light(r: LengthVector, min_size) -> list:
+    """(mask, J) for every J of :func:`relevant_subsets`, selected in one pass."""
+    sums = r.subset_sums()
+    half = sums[-1] // 2  # 2 sums[m] <= total is sums[m] <= total // 2 on integers
+    lo = ceil(min(max(2, min_size), r.n - 1))
+    return [c for c in _bubble_candidates(r.n, lo) if sums[c[0]] <= half]
 
 
 class ChamberSignature:
@@ -412,11 +424,6 @@ def _central_signature(n: int) -> "ChamberSignature":
     return signature(central_base(n))
 
 
-def _heavy_pair(r: LengthVector, total: int, j: int, k: int) -> bool:
-    """r_j + r_k > sum of the rest, with `total` the sum of `r.ints`."""
-    return 2 * (r.ints[j - 1] + r.ints[k - 1]) > total
-
-
 def is_favorable(r, i: int) -> bool:
     """Does edge i dominate, i.e. r_i + r_j > sum of the rest for every j?
 
@@ -425,8 +432,8 @@ def is_favorable(r, i: int) -> bool:
     r = as_length_vector(r)
     if not 1 <= i <= r.n:
         raise InvalidArgument(f"index {i} out of range")
-    total = sum(r.ints)
-    return all(_heavy_pair(r, total, i, j) for j in range(1, r.n + 1) if j != i)
+    ints = r.ints
+    return 2 * (ints[i - 1] + min(ints[: i - 1] + ints[i:])) > sum(ints)
 
 
 def favorable_index(r) -> Optional[int]:
@@ -434,10 +441,18 @@ def favorable_index(r) -> Optional[int]:
 
     For n >= 4 at most one index can dominate (a dominating edge is strictly
     the longest).  For n = 3 every index passes the defining inequalities on
-    interior input, so no single index is reported.
+    interior input, so no single index is reported.  Edge i passes exactly
+    when 2 (r_i + min_{j != i} r_j) exceeds the perimeter.
     """
     r = as_length_vector(r)
-    hits = [i for i in range(1, r.n + 1) if is_favorable(r, i)]
+    ints = r.ints
+    total = sum(ints)
+    first = min(ints)
+    k = ints.index(first)
+    second = min(ints[:k] + ints[k + 1 :])  # min_{j != i} r_j is this for i = k + 1
+    hits = [
+        i for i, v in enumerate(ints, 1) if 2 * (v + (second if i == k + 1 else first)) > total
+    ]
     return hits[0] if len(hits) == 1 else None
 
 
@@ -445,19 +460,20 @@ def nabla_index(r) -> Optional[int]:
     """The unique i with r̄_j + r̄_k > 1 for all j, k != i, or None.
 
     Summing the pair inequalities shows the condition is unsatisfiable for
-    n >= 5; it carves out a genuine chamber only for n = 4, where the polygon
-    space is a product of projective lines (trivially so, being a single one).
+    n >= 5, so there the answer is None without a scan; it carves out a
+    genuine chamber only for n = 4, where the polygon space is a product of
+    projective lines (trivially so, being a single one).
     """
     r = as_length_vector(r)
-    total = sum(r.ints)
+    if r.n >= 5:
+        return None
+    ints = r.ints
+    total = sum(ints)
     hits = []
-    for i in range(1, r.n + 1):
-        others = [j for j in range(1, r.n + 1) if j != i]
-        if all(
-            _heavy_pair(r, total, j, k)
-            for j, k in itertools.combinations(others, 2)
-        ):
-            hits.append(i)
+    for i in range(r.n):
+        others = ints[:i] + ints[i + 1 :]
+        if all(2 * (a + b) > total for a, b in itertools.combinations(others, 2)):
+            hits.append(i + 1)
     return hits[0] if len(hits) == 1 else None
 
 
@@ -547,16 +563,11 @@ def relevant_subsets(r, min_size: int = 2, with_margins: bool = False):
     r = as_length_vector(r)
     if not r.in_cone_interior():
         raise InvalidArgument("r must lie in the interior of the polygon cone")
-    sums = r.subset_sums()
-    total = sums[-1]
-    lo = max(2, min_size)
-    light = [
-        (m, J)
-        for m, J in _bubble_candidates(r.n)
-        if len(J) >= lo and 2 * sums[m] <= total
-    ]
+    light = _light(r, min_size)
     if with_margins:
-        return [(J, Fraction(2 * sums[m] - total, r.den)) for m, J in light]
+        sums = r.subset_sums()
+        total, den = sums[-1], r.den
+        return [(J, Fraction(2 * sums[m] - total, den)) for m, J in light]
     return [J for _, J in light]
 
 

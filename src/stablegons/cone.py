@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import inf
 from typing import Optional
 
 from .chambers import (
@@ -24,9 +25,9 @@ from .chambers import (
     LengthVector,
     as_length_vector,
     central_base,
-    relevant_subsets,
     signature,
     _central_signature,
+    _light,
     _Record,
     _seed,
 )
@@ -98,23 +99,33 @@ class ParamPoint(_Record):
         return {"r": [str(x) for x in self.r.r], "eps": self.eps.to_json()}
 
 
+def _twice_minima(ints: tuple) -> list:
+    """2 min_{j in J} ints[j-1] for every J by bitmask, by the doubling pass of
+    the subset sums; the empty set reads inf."""
+    mins = [inf]
+    for v in ints:
+        v *= 2
+        mins += [m if m < v else v for m in mins]
+    return mins
+
+
 def param_contains(p: ParamPoint, base: Optional[LengthVector] = None) -> bool:
     """Is (r, eps) in the parameter cone?
 
     Needs r strictly central and, for every relevant J with |J| > 2, a slack
-    assigned strictly inside (0, 2 min_J r_j).
+    assigned strictly inside (0, 2 min_J r_j).  The bounds are read from a
+    table of subset minima, built once per call.
     """
     if not central_contains(p.r, base):
         return False
-    ints, den = p.r.ints, p.r.den
-    for J in relevant_subsets(p.r, 3):
-        try:
-            e = p.eps.get(J)
-        except InvalidArgument:
+    r, eps, default = p.r, p.eps.eps, p.eps.default
+    bounds = _twice_minima(r.ints)
+    for m, J in _light(r, 3):
+        e = eps.get(frozenset(J), default)
+        if e is None:
             return False
         # e < 2 min_J r_j, with r_j = ints[j - 1] / den, cleared of denominators
-        bound = 2 * min(ints[j - 1] for j in J)
-        if not 0 < e.numerator or not e.numerator * den < bound * e.denominator:
+        if not 0 < e.numerator or not e.numerator * r.den < bounds[m] * e.denominator:
             return False
     return True
 
@@ -131,7 +142,8 @@ def param_sample(n: int, seed: int = 0) -> ParamPoint:
 
     The length jitter stays small enough (exact-rational bookkeeping) that no
     wall sign can flip relative to the base point; every slack is drawn
-    uniformly from its open range.  Each sampled point satisfies
+    uniformly from its open range, whose bound 2 min_J r_j is read from a
+    table of subset minima.  Each sampled point satisfies
     n + #R_{>2}(r) = param_dim(n).  Seeds are integers >= 0.
     """
     if n < 5:
@@ -147,12 +159,14 @@ def param_sample(n: int, seed: int = 0) -> ParamPoint:
     )
     if not central_contains(r):
         raise InternalError("sampler left the central chamber")
-    eps = {}
-    for J in relevant_subsets(r, 3):
-        # 2 min_J r_j times k/64, formed from the integer lengths over r.den
-        bound = 2 * min(r.ints[j - 1] for j in J)
-        eps[J] = Fraction(bound * rng.randint(1, 63), 64 * r.den)
-    point = ParamPoint(r=r, eps=EpsilonAssignment(eps))
-    if n + len(eps) != param_dim(n):
+    # 2 min_J r_j times k/64, formed from the integer lengths over r.den; the
+    # keys are the library's own subsets, so they skip the assignment's checks
+    bounds = _twice_minima(r.ints)
+    eps = EpsilonAssignment()
+    eps.eps = {
+        frozenset(J): Fraction(bounds[m] * rng.randint(1, 63), 64 * r.den)
+        for m, J in _light(r, 3)
+    }
+    if n + len(eps.eps) != param_dim(n):
         raise InternalError("dimension bookkeeping failed")
-    return point
+    return ParamPoint(r=r, eps=eps)

@@ -647,3 +647,93 @@ def test_exact_layer_takes_lengths_outside_the_float_range():
     big = classify([10**400] * 4)
     assert big.in_cone_interior and not big.smooth
     assert relevant_subsets([F(1, 10**400)] * 5, 2) == relevant_subsets([1] * 5, 2)
+
+
+# ---------------------------------------------------------------------------
+# pair indices, light subsets and canonical walls against direct definitions
+# ---------------------------------------------------------------------------
+
+
+def _index_cases(seed=4242):
+    """Vectors at n = 3..9: random, a tie at the smallest length, duplicated
+    lengths, one edge dominant, on the cone boundary, outside the cone, and
+    at n = 4 three long edges around a short one."""
+    rng = random.Random(seed)
+    for n in range(3, 10):
+        for _ in range(12):
+            r = [F(rng.randint(1, 30), rng.randint(1, 3)) for _ in range(n)]
+            k = rng.randrange(n)
+            rest = sum(r) - r[k]
+            tie = list(r)
+            tie[(k + 1) % n] = min(r)
+            dup = [r[rng.randrange(2)] for _ in range(n)]
+            yield r
+            yield tie
+            yield dup
+            yield r[:k] + [rest - F(1, 7)] + r[k + 1 :]  # dominant, still interior
+            yield r[:k] + [rest] + r[k + 1 :]  # on the boundary
+            yield r[:k] + [rest + 1] + r[k + 1 :]  # outside
+            if n == 4:  # three long edges around a short one: a nabla chamber
+                long = [F(rng.randint(20, 30)) for _ in range(3)]
+                yield long[:k] + [F(rng.randint(1, 20))] + long[k:]
+        yield [F(1)] * n
+
+
+def test_pair_indices_match_the_pair_definitions():
+    kinds = {"interior": 0, "boundary": 0, "outside": 0}
+    seen = {"favorable": 0, "nabla": 0}
+    for r in _index_cases():
+        ref = _reference(r)
+        n, lv = len(r), LengthVector(r)
+        kinds["interior" if lv.in_cone_interior() else
+              "boundary" if lv.on_cone_boundary() else "outside"] += 1
+        assert favorable_index(r) == ref["favorable_index"], r
+        assert nabla_index(r) == ref["nabla_index"], r
+        assert [i for i in range(1, n + 1) if is_favorable(lv, i)] == ref["favorable"], r
+        seen["favorable"] += ref["favorable_index"] is not None
+        seen["nabla"] += ref["nabla_index"] is not None
+    assert min(kinds.values()) >= 50 and min(seen.values()) >= 5
+    # two lengths: both edges pass the (trivial or empty) pair conditions
+    for r in ((1, 1), (1, 2), (1, 3), (5, 1)):
+        assert favorable_index(r) is None and nabla_index(r) is None
+        assert is_favorable(r, 1) and is_favorable(r, 2)
+
+
+def test_relevant_subsets_for_every_min_size():
+    on_wall = 0
+    for k, exact, raw in _table_cases(count=45, seed=77):
+        ref, n = _reference(exact)["light"], len(exact)
+        on_wall += any(m == 0 for _, m in ref)
+        for min_size in range(0, n + 2):
+            want = [(J, m) for J, m in ref if len(J) >= min_size]
+            assert relevant_subsets(raw, min_size, with_margins=True) == want
+            assert relevant_subsets(raw, min_size) == [J for J, _ in want]
+            assert relevant_subsets(raw, min_size) == brute_relevant(exact, max(2, min_size))
+        assert relevant_subsets(raw, 2.5) == relevant_subsets(raw, 3)
+    assert on_wall >= 10
+
+
+def test_all_walls_match_the_checked_constructor():
+    import copy
+    import pickle
+
+    for n in range(3, 10):
+        walls = chambers.all_walls(n)
+        checked = [
+            WallIndex(J, n) for k in range(2, n - 1) for J in itertools.combinations(range(1, n), k)
+        ]
+        assert walls == checked
+        assert [hash(w) for w in walls] == [hash(w) for w in checked]
+        assert [repr(w) for w in walls] == [repr(w) for w in checked]
+        for w in walls:
+            assert type(w.J) is tuple and w.n == n
+            assert pickle.loads(pickle.dumps(w)) == w == copy.deepcopy(w)
+            with pytest.raises(AttributeError):
+                w.J = (1, 2)
+            with pytest.raises(AttributeError):
+                del w.n
+            with pytest.raises(AttributeError):
+                w.extra = 1
+        assert chambers._canonical_walls(n) == (
+            tuple(checked), tuple(sum(1 << (j - 1) for j in w.J) for w in checked)
+        )

@@ -139,6 +139,27 @@ class TestParamCone:
                 eps[J] = value
                 assert param_contains(ParamPoint(p.r, EpsilonAssignment(eps))) is inside
 
+    def test_membership_reads_slacks_and_default(self):
+        p = param_sample(8, seed=4)
+        J = next(iter(p.eps.eps))
+        assert all(isinstance(k, frozenset) for k in p.eps.eps)
+        assert p.eps.get(sorted(J)) == p.eps.eps[J]
+        missing = {K: v for K, v in p.eps.eps.items() if K != J}
+        assert not param_contains(ParamPoint(p.r, EpsilonAssignment(missing)))
+        # a default answers for the missing subset, legal or not
+        hi = 2 * min(p.r.r[j - 1] for j in J)
+        for default, inside in ((hi / 2, True), (hi, False), (F(-1), False)):
+            eps = EpsilonAssignment(missing, default=default)
+            assert param_contains(ParamPoint(p.r, eps)) is inside
+        assert param_contains(ParamPoint(p.r, EpsilonAssignment(default=F(1, 10**6))))
+        assert not param_contains(ParamPoint(p.r, EpsilonAssignment()))
+
+    def test_membership_refuses_a_non_central_r(self):
+        p = param_sample(7, seed=1)
+        for r in ([1, 1, 1, 1, 1, 1, 4], [F(4, 3)] * 3 + [1] * 4, [1, 1, 1, 1, 1, 1, 9]):
+            assert not param_contains(ParamPoint(LengthVector(r), p.eps))
+            assert not param_contains(ParamPoint(LengthVector(r), EpsilonAssignment(default=F(1, 100))))
+
     def test_wall_margin_vanishes_toward_chamber_boundary(self):
         # walking from the center toward a wall of the central chamber, the
         # margin of that wall shrinks linearly to zero and membership is lost
