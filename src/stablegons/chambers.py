@@ -341,7 +341,9 @@ def _light(r: LengthVector, min_size) -> list:
     sums = r.subset_sums()
     half = sums[-1] // 2  # 2 sums[m] <= total is sums[m] <= total // 2 on integers
     lo = ceil(min(max(2, min_size), r.n - 1))
-    return [c for c in _bubble_candidates(r.n, lo) if sums[c[0]] <= half]
+    # the full table is cached under the call without lo, as cohomology makes it
+    cands = _bubble_candidates(r.n, lo) if lo > 2 else _bubble_candidates(r.n)
+    return [c for c in cands if sums[c[0]] <= half]
 
 
 class ChamberSignature:

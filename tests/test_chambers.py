@@ -737,3 +737,12 @@ def test_all_walls_match_the_checked_constructor():
         assert chambers._canonical_walls(n) == (
             tuple(checked), tuple(sum(1 << (j - 1) for j in w.J) for w in checked)
         )
+
+
+def test_light_subsets_share_one_candidate_table():
+    # every least size reads the pairs of the one full table per n, which the
+    # Betti layer builds too, so a 2^20-entry table is never held twice
+    r = LengthVector(range(1, 10))
+    full = {J: J for _, J in chambers._bubble_candidates(9)}
+    for min_size in (0, 2, 3, 5):
+        assert all(full[J] is J for J in relevant_subsets(r, min_size))
