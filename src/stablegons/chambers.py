@@ -236,10 +236,14 @@ def _check_subset(J, n, name: str = "J") -> tuple:
 
 
 class _Record:
-    """Fields named by `__slots__`; equal only to a record of the same class
-    with equal fields."""
+    """Fields named by `__slots__`, set in that order by `_fill`; equal only
+    to a record of the same class with equal fields."""
 
     __slots__ = ()
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -252,7 +256,24 @@ class _Record:
         return f"{type(self).__qualname__}({body})"
 
 
-class WallIndex(_Record):
+class _FrozenRecord(_Record):
+    """A read-only record of 2+ fields, hashed as their tuple, copied through __init__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {type(self).__name__}.{name}: read-only")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return hash(operator.attrgetter(*self.__slots__)(self))
+
+    def __reduce__(self):
+        return type(self), operator.attrgetter(*self.__slots__)(self)
+
+
+class WallIndex(_FrozenRecord):
     """Canonical name for an interior wall: the side of {J, J^c} avoiding n.
 
     Only 2 <= |J| <= n-2 define interior walls; singleton sides are facets of
@@ -269,19 +290,7 @@ class WallIndex(_Record):
             raise InvalidArgument(
                 f"|J|={len(J)} does not name an interior wall for n={n}"
             )
-        object.__setattr__(self, "J", J)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot set or delete {name!r}: a WallIndex is read-only")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return WallIndex, (self.J, self.n)
-
-    def __hash__(self):
-        return hash((self.J, self.n))
+        self._fill(J, n)
 
     def __repr__(self):
         return f"W{list(self.J)}"
@@ -415,10 +424,16 @@ def central_base(n: int) -> LengthVector:
     """
     if n < 3:
         raise InvalidArgument("need n >= 3")
+    return LengthVector(_central_lengths(n))
+
+
+@functools.cache
+def _central_lengths(n: int) -> tuple:
+    """The lengths of :func:`central_base`, kept per n."""
     if n % 2 == 1:
-        return LengthVector([1] * n)
+        return (Fraction(1),) * n
     delta = Fraction(1, n**3 * 2**n)
-    return LengthVector(1 + delta * 2 ** (i - 1) for i in range(1, n + 1))
+    return tuple(1 + delta * 2 ** (i - 1) for i in range(1, n + 1))
 
 
 @functools.cache
@@ -509,14 +524,8 @@ class ClassifyReport(_Record):
         line_gons: list, smooth: bool, favorable_index: Optional[int],
         nabla_index: Optional[int], central: bool,
     ):
-        self.in_cone_interior = in_cone_interior
-        self.signature = signature
-        self.walls_on = walls_on
-        self.line_gons = line_gons
-        self.smooth = smooth
-        self.favorable_index = favorable_index
-        self.nabla_index = nabla_index
-        self.central = central
+        self._fill(in_cone_interior, signature, walls_on, line_gons, smooth,
+                   favorable_index, nabla_index, central)
 
     def to_json(self):
         return {

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
@@ -47,6 +46,8 @@ from .chambers import (
     as_length_vector,
     _bubble_candidates,
     _canonical_walls,
+    _FrozenRecord,
+    _Record,
     _walls_on,
 )
 from .errors import InternalError, InvalidArgument, RangeError
@@ -186,15 +187,13 @@ def _partitions(bits: int):
         yield (first,) + part
 
 
-@dataclass
-class Stratum:
-    blocks: tuple
-    k: int
-    dim: int
-    merged: tuple
-    nonempty_closed: bool
-    nonempty_open: bool
-    r_alpha: tuple
+class Stratum(_Record):
+    """One parallel-edge stratum of :func:`strata`; unhashable, like a list."""
+
+    __slots__ = ("blocks", "k", "dim", "merged", "nonempty_closed", "nonempty_open", "r_alpha")
+
+    def __init__(self, blocks, k, dim, merged, nonempty_closed, nonempty_open, r_alpha):
+        self._fill(blocks, k, dim, merged, nonempty_closed, nonempty_open, r_alpha)
 
     @property
     def single_block(self) -> bool:
@@ -267,13 +266,13 @@ def strata(r, include_empty: bool = False):
     return entries, edges
 
 
-@dataclass(frozen=True)
-class BlowupStep:
-    kind: str  # "resolution" or "blowup"
-    center: tuple
-    codim: int
-    nontrivial: bool
-    eps: Optional[Fraction] = None
+class BlowupStep(_FrozenRecord):
+    """One read-only step of :func:`schedule`; `eps` is the slack at the center, if given."""
+
+    __slots__ = ("kind", "center", "codim", "nontrivial", "eps")
+
+    def __init__(self, kind, center, codim, nontrivial, eps: Optional[Fraction] = None):
+        self._fill(kind, center, codim, nontrivial, eps)
 
     def to_json(self):
         return {
@@ -322,7 +321,10 @@ def schedule(r, eps: Optional[EpsilonAssignment] = None):
     steps = [BlowupStep("resolution", J, r.n - 3, True) for J in _walls_on(sums, r.n)]
     blowups = [s for m, s in _blowup_steps(r.n) if 2 * sums[m] < total]
     if eps is not None:
-        blowups = [replace(s, eps=eps.get(s.center)) for s in blowups]
+        blowups = [
+            BlowupStep(s.kind, s.center, s.codim, s.nontrivial, eps.get(s.center))
+            for s in blowups
+        ]
     return steps + blowups
 
 

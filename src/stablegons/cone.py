@@ -24,8 +24,8 @@ from .chambers import (
     EpsilonAssignment,
     LengthVector,
     as_length_vector,
-    central_base,
     signature,
+    _central_lengths,
     _central_signature,
     _light,
     _Record,
@@ -149,13 +149,12 @@ def param_sample(n: int, seed: int = 0) -> ParamPoint:
     if n < 5:
         raise InvalidArgument("need n >= 5")
     rng = random.Random(1_000_003 * _seed(seed) + n)
-    base = central_base(n)
     # margins at the base are at least delta = 1/(n^3 2^n) for even n and at
     # least 1 for odd n; scale the jitter to stay well below that
     floor = Fraction(1) if n % 2 == 1 else Fraction(1, n**3 * 2**n)
     scale = floor / (4 * n)
     r = LengthVector(
-        b + scale * Fraction(rng.randint(0, n * n), n * n) for b in base.r
+        b + scale * Fraction(rng.randint(0, n * n), n * n) for b in _central_lengths(n)
     )
     if not central_contains(r):
         raise InternalError("sampler left the central chamber")

@@ -180,6 +180,11 @@ class EdgeFrame:
         return f"EdgeFrame(n={self.n}, residual={self.residual:.2e})"
 
 
+def _closes(frame: EdgeFrame, tol: float) -> bool:
+    """Residual at most tol times the longest edge, or tol below 1: rounding scales."""
+    return frame.residual <= tol * max(1.0, *frame.lengths.floats())
+
+
 def _unit_rows(u: np.ndarray) -> np.ndarray:
     return u / _norms(u)[:, None]
 
@@ -251,7 +256,7 @@ def close(r, seed=None, hints=None, tol: Optional[float] = None) -> EdgeFrame:
     directions that close within `tol` (default 1e-10) are returned as they
     are; others are moved by the Mobius boost that balances them for r, as in
     :func:`transport`, so the frame keeps the hint's moduli point.  A residual
-    above `tol` raises NonConvergence.
+    above `tol` times max(1, longest edge) raises NonConvergence.
     """
     r = as_length_vector(r)
     if not r.in_cone_interior():
@@ -276,11 +281,10 @@ def close(r, seed=None, hints=None, tol: Optional[float] = None) -> EdgeFrame:
     else:
         u = _fan_directions(rf, _rng(seed))
     frame = EdgeFrame(r, u)
-    res = frame.residual
-    if not res <= tol:
+    if not _closes(frame, tol):
         raise NonConvergence(
-            f"closed frame residual {res:.3e} above tolerance {tol:.1e}",
-            residual=res,
+            f"closed frame residual {frame.residual:.3e} above tolerance {tol:.1e}",
+            residual=frame.residual,
         )
     return frame
 
@@ -727,7 +731,7 @@ def transport(
     weights = np.array(target.floats())
     u = _rebalance(frame.u, weights, tol.closure)
     out = EdgeFrame(target, u, frame.labels)
-    if out.residual > tol.closure:
+    if not _closes(out, tol.closure):
         raise NonConvergence(
             f"transported frame residual {out.residual:.3e} above tolerance",
             residual=out.residual,

@@ -51,6 +51,7 @@ from .realize import (
     EdgeFrame,
     ModuliPoint,
     Tolerances,
+    _closes,
     _find,
     _marks,
     _norm,
@@ -210,7 +211,7 @@ def validate(
             Check(
                 "closed",
                 tag,
-                nd.frame.residual <= tol.closure,
+                _closes(nd.frame, tol.closure),
                 f"residual={nd.frame.residual:.2e}",
             )
         )

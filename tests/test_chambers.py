@@ -260,6 +260,19 @@ def test_central_base_is_off_all_walls():
         assert classify(central_base(n)).smooth
 
 
+def test_central_base_is_a_fresh_vector():
+    # the lengths are kept per n, each call still returns its own vector
+    a, b = central_base(8), central_base(8)
+    assert a == b and a is not b
+    a.subset_sums()
+    assert b._sums is None
+    assert central_base(5).r == (F(1),) * 5
+    delta = F(1, 8**3 * 2**8)
+    assert a.r == tuple(1 + delta * 2**i for i in range(8))
+    with pytest.raises(InvalidArgument):
+        central_base(2)
+
+
 def test_line_gons_none_for_generic():
     assert line_gons((1, 1, 1, 1, F(7, 2))) == []
 

@@ -1,6 +1,7 @@
-import dataclasses
+import copy
 import functools
 import itertools
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -344,6 +345,24 @@ class TestStrata:
             want = reference_strata(r, include_empty)
             assert strata(r, include_empty) == want, (r, include_empty)
 
+    def test_stratum_is_a_record(self):
+        fields = dict(
+            blocks=((1, 2), (3,), (4,), (5,)), k=4, dim=1, merged=((1, 2),),
+            nonempty_closed=True, nonempty_open=True, r_alpha=(F(2), F(1), F(1), F(7, 2)),
+        )
+        entries, _ = strata(("1", "1", "1", "1", "3.5"))
+        e = next(e for e in entries if e.blocks == fields["blocks"])
+        assert e == Stratum(**fields) == Stratum(*fields.values())
+        assert e != Stratum(**dict(fields, nonempty_open=False))
+        assert e != tuple(fields.values())
+        with pytest.raises(TypeError):
+            hash(e)
+        assert e.to_json() == {
+            "blocks": [[1, 2], [3], [4], [5]], "k": 4, "dim": 1, "merged": [[1, 2]],
+            "nonempty_closed": True, "nonempty_open": True, "r_alpha": ["2", "1", "1", "7/2"],
+        }
+        assert repr(e).startswith("Stratum(blocks=((1, 2), (3,), (4,), (5,)), k=4, dim=1,")
+
     def test_set_partitions_is_gone(self):
         assert not hasattr(cohomology, "set_partitions")
 
@@ -382,8 +401,35 @@ class TestSchedule:
     def test_steps_are_frozen(self):
         steps = schedule((1, 1, 1, 1, 2), EpsilonAssignment(default=1))
         for step in (steps[0], steps[-1], schedule([1] * 6)[0]):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            eps = step.eps
+            with pytest.raises(AttributeError):
                 step.eps = F(1, 2)
+            assert step.eps is eps
+
+    def test_step_is_a_read_only_value(self):
+        step = BlowupStep("blowup", (1, 2, 3), 2, True)
+        assert repr(step) == (
+            "BlowupStep(kind='blowup', center=(1, 2, 3), codim=2, nontrivial=True, eps=None)"
+        )
+        assert step == BlowupStep(kind="blowup", center=(1, 2, 3), codim=2, nontrivial=True)
+        assert step != BlowupStep("blowup", (1, 2, 3), 2, True, F(1, 2))
+        assert step != ("blowup", (1, 2, 3), 2, True, None)
+        assert hash(step) == hash(("blowup", (1, 2, 3), 2, True, None))
+        assert {step: 1}[BlowupStep("blowup", (1, 2, 3), 2, True, None)] == 1
+        annotated = BlowupStep("blowup", (1, 2), 1, False, F(1, 3))
+        for s in (step, annotated):
+            for twin in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+                assert twin == s and hash(twin) == hash(s) and type(twin) is BlowupStep
+        for attempt in (
+            lambda: setattr(step, "codim", 3),
+            lambda: setattr(step, "extra", 1),
+            lambda: delattr(step, "center"),
+        ):
+            with pytest.raises(AttributeError):
+                attempt()
+        assert step == BlowupStep("blowup", (1, 2, 3), 2, True)
+        with pytest.raises(TypeError):
+            BlowupStep("blowup", (1, 2, 3), 2)
 
     def test_annotation_leaves_the_shared_steps_alone(self):
         r = central_base(7)

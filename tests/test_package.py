@@ -140,6 +140,10 @@ stablegons.param_sample(5)
 step("param_sample")
 stablegons.stable_betti((1, 1, 1, 1, 1))
 step("stable_betti")
+stablegons.schedule((1, 1, 1, 1, 2), stablegons.EpsilonAssignment(default=1))
+step("schedule")
+stablegons.strata((1, 1, 1, 1, 1))
+step("strata")
 print(json.dumps(steps))
 """
 
@@ -175,3 +179,13 @@ def test_first_use_loads_the_layer(footprint):
     assert "stablegons.cone" in footprint["param_sample"]
     assert "stablegons.cohomology" not in footprint["param_sample"]
     assert "stablegons.cohomology" in footprint["stable_betti"]
+
+
+def test_exact_layers_load_no_dataclasses(footprint):
+    # the numeric layers realize and stable are the only users of dataclasses
+    assert set(footprint) == {
+        "import", "classify", "param_sample", "stable_betti", "schedule", "strata",
+    }
+    for step, loaded in footprint.items():
+        assert not {"dataclasses", "inspect"} & set(loaded), step
+        assert not {"stablegons.realize", "stablegons.stable"} & set(loaded), step

@@ -149,6 +149,16 @@ class TestClose:
             frame = close((1, 1, 1, 3 - F(1, 10**k)), seed=0)
             assert frame.residual <= 1e-10
 
+    @pytest.mark.parametrize("r", [[1e6] * 4, [1e7] * 4, [2**300] * 4, [1e-6] * 4])
+    def test_closure_bound_scales_with_the_longest_edge(self, r):
+        # the fan rounds at about 1e-16 of the longest edge, so an absolute
+        # 1e-10 refused most large squares; below 1 the bound stays 1e-10
+        bound = 1e-10 * max(1.0, float(r[0]))
+        for seed in range(20):
+            assert close(r, seed=seed).residual <= bound
+        with pytest.raises(NonConvergence):
+            close([1e6] * 4, seed=0, tol=1e-24)
+
     def test_random_vectors_close(self):
         rng = np.random.default_rng(2024)
         drawn = 0

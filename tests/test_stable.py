@@ -122,6 +122,15 @@ class TestStabilize:
         assert np.allclose(tri.r, [1.0, 1.0, 1.0])  # (1, 1, 2 - eps), eps = 1
         assert validate(sp).ok
 
+    def test_large_polygons_validate(self):
+        # every component closes within 1e-10 times its longest edge
+        r = LengthVector([10**6] * 6)
+        eps = EpsilonAssignment.canonical(r)
+        for seed in range(6):
+            for classes in ([(1, 2, 3)], [(1, 2), (4, 5)]):
+                frame = close_degenerate(r, classes, seed=seed)
+                assert validate(stabilize(frame, eps, filler=seed)).ok
+
     def test_stabilize_validate_closure_sweep(self):
         rs = [
             LengthVector([1] * 5),
