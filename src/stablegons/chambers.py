@@ -524,8 +524,14 @@ class ClassifyReport(_Record):
         line_gons: list, smooth: bool, favorable_index: Optional[int],
         nabla_index: Optional[int], central: bool,
     ):
-        self._fill(in_cone_interior, signature, walls_on, line_gons, smooth,
-                   favorable_index, nabla_index, central)
+        self.in_cone_interior = in_cone_interior
+        self.signature = signature
+        self.walls_on = walls_on
+        self.line_gons = line_gons
+        self.smooth = smooth
+        self.favorable_index = favorable_index
+        self.nabla_index = nabla_index
+        self.central = central
 
     def to_json(self):
         return {

@@ -321,10 +321,8 @@ def schedule(r, eps: Optional[EpsilonAssignment] = None):
     steps = [BlowupStep("resolution", J, r.n - 3, True) for J in _walls_on(sums, r.n)]
     blowups = [s for m, s in _blowup_steps(r.n) if 2 * sums[m] < total]
     if eps is not None:
-        blowups = [
-            BlowupStep(s.kind, s.center, s.codim, s.nontrivial, eps.get(s.center))
-            for s in blowups
-        ]
+        blowups = [BlowupStep(s.kind, s.center, s.codim, s.nontrivial, eps.get(s.center))
+                   for s in blowups]
     return steps + blowups
 
 

@@ -158,7 +158,8 @@ class EdgeFrame:
         return self._residual
 
     def is_closed(self, tol: float = DEFAULT_TOL.closure) -> bool:
-        return self.residual <= tol
+        """Residual at most tol times max(1, longest edge): rounding scales."""
+        return self.residual <= tol * max(1.0, *self.lengths.floats())
 
     def index_of(self, label) -> int:
         try:
@@ -178,11 +179,6 @@ class EdgeFrame:
 
     def __repr__(self):
         return f"EdgeFrame(n={self.n}, residual={self.residual:.2e})"
-
-
-def _closes(frame: EdgeFrame, tol: float) -> bool:
-    """Residual at most tol times the longest edge, or tol below 1: rounding scales."""
-    return frame.residual <= tol * max(1.0, *frame.lengths.floats())
 
 
 def _unit_rows(u: np.ndarray) -> np.ndarray:
@@ -254,9 +250,9 @@ def close(r, seed=None, hints=None, tol: Optional[float] = None) -> EdgeFrame:
     fan-triangulation action-angle coordinates drawn from `seed` (None, a
     Generator or an int >= 0), so runs are deterministic per seed.  Hint
     directions that close within `tol` (default 1e-10) are returned as they
-    are; others are moved by the Mobius boost that balances them for r, as in
-    :func:`transport`, so the frame keeps the hint's moduli point.  A residual
-    above `tol` times max(1, longest edge) raises NonConvergence.
+    are; others are moved to within `tol` by the Mobius boost that balances
+    them for r, as in :func:`transport`, so the frame keeps the hint's moduli
+    point.  A frame failing :meth:`EdgeFrame.is_closed` raises NonConvergence.
     """
     r = as_length_vector(r)
     if not r.in_cone_interior():
@@ -281,7 +277,7 @@ def close(r, seed=None, hints=None, tol: Optional[float] = None) -> EdgeFrame:
     else:
         u = _fan_directions(rf, _rng(seed))
     frame = EdgeFrame(r, u)
-    if not _closes(frame, tol):
+    if not frame.is_closed(tol):
         raise NonConvergence(
             f"closed frame residual {frame.residual:.3e} above tolerance {tol:.1e}",
             residual=frame.residual,
@@ -731,7 +727,7 @@ def transport(
     weights = np.array(target.floats())
     u = _rebalance(frame.u, weights, tol.closure)
     out = EdgeFrame(target, u, frame.labels)
-    if not _closes(out, tol.closure):
+    if not out.is_closed(tol.closure):
         raise NonConvergence(
             f"transported frame residual {out.residual:.3e} above tolerance",
             residual=out.residual,

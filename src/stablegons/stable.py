@@ -51,7 +51,6 @@ from .realize import (
     EdgeFrame,
     ModuliPoint,
     Tolerances,
-    _closes,
     _find,
     _marks,
     _norm,
@@ -211,7 +210,7 @@ def validate(
             Check(
                 "closed",
                 tag,
-                _closes(nd.frame, tol.closure),
+                nd.frame.is_closed(tol.closure),
                 f"residual={nd.frame.residual:.2e}",
             )
         )

@@ -155,7 +155,8 @@ class TestClose:
         # 1e-10 refused most large squares; below 1 the bound stays 1e-10
         bound = 1e-10 * max(1.0, float(r[0]))
         for seed in range(20):
-            assert close(r, seed=seed).residual <= bound
+            frame = close(r, seed=seed)
+            assert frame.residual <= bound and frame.is_closed()
         with pytest.raises(NonConvergence):
             close([1e6] * 4, seed=0, tol=1e-24)
 
