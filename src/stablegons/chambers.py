@@ -38,7 +38,7 @@ import itertools
 import operator
 from collections.abc import Mapping
 from fractions import Fraction
-from math import ceil, inf, lcm
+from math import ceil, gcd, inf, lcm
 from typing import Iterable, Optional
 
 from .errors import InternalError, InvalidArgument, RangeError
@@ -97,6 +97,21 @@ def rational(x) -> Fraction:
         except (ValueError, OverflowError, ZeroDivisionError):
             pass
     raise InvalidArgument(f"cannot interpret {x!r} as an exact rational")
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    """Fraction(num, den) for ints num and den > 0, in lowest terms.
+
+    Reduces by the gcd and fills the two slots of the stdlib Fraction,
+    ``_numerator`` and ``_denominator``, as ``Fraction.__new__`` does for two
+    ints, so value, type, hash and pickle are those of Fraction(num, den).
+    Neither the types nor the sign of den are checked.
+    """
+    g = gcd(num, den)
+    x = object.__new__(Fraction)
+    x._numerator = num // g
+    x._denominator = den // g
+    return x
 
 
 class LengthVector:
@@ -162,7 +177,7 @@ class LengthVector:
         return self._floats
 
     def perimeter(self) -> Fraction:
-        return Fraction(sum(self.ints), self.den)
+        return _fraction(sum(self.ints), self.den)
 
     def in_cone_interior(self) -> bool:
         return 2 * max(self.ints) < sum(self.ints)
@@ -303,7 +318,7 @@ def wall_margin(r, J) -> Fraction:
     """
     r = as_length_vector(r)
     J = _check_subset(J, r.n)
-    return Fraction(2 * sum(r.ints[j - 1] for j in J) - sum(r.ints), r.den)
+    return _fraction(2 * sum(r.ints[j - 1] for j in J) - sum(r.ints), r.den)
 
 
 def all_walls(n: int):
@@ -376,11 +391,10 @@ class ChamberSignature:
         r = as_length_vector(r)
         _, masks = _canonical_walls(r.n)
         sums = r.subset_sums()
-        total = sums[-1]
-        return cls(
-            r.n,
-            ((2 * sums[m] > total) - (2 * sums[m] < total) for m in masks),
-        )
+        # the sign of 2 s - total on integers: s above floor(total / 2) or
+        # below ceil(total / 2)
+        lo, hi = sums[-1] // 2, -(-sums[-1] // 2)
+        return cls(r.n, [(s > lo) - (s < hi) for s in map(sums.__getitem__, masks)])
 
     @property
     def signs(self) -> dict:
@@ -575,7 +589,8 @@ def relevant_subsets(r, min_size: int = 2, with_margins: bool = False):
 
     "Light" is non-strict: sum_J r_j <= sum_{J^c} r_j.  Equality cases are the
     line-gon walls; request margins to see them flagged.  Only these subsets
-    can index a bubble.  Sorted lexicographically.
+    can index a bubble.  Sorted lexicographically.  With margins, each entry
+    is (J, wall_margin(r, J)), the margin a Fraction in lowest terms.
     """
     r = as_length_vector(r)
     if not r.in_cone_interior():
@@ -584,7 +599,7 @@ def relevant_subsets(r, min_size: int = 2, with_margins: bool = False):
     if with_margins:
         sums = r.subset_sums()
         total, den = sums[-1], r.den
-        return [(J, Fraction(2 * sums[m] - total, den)) for m, J in light]
+        return [(J, _fraction(2 * sums[m] - total, den)) for m, J in light]
     return [J for _, J in light]
 
 
@@ -601,13 +616,13 @@ def _epsilon_range(r: LengthVector, J: tuple) -> tuple:
     ints = r.ints
     if 2 * sum(ints[j - 1] for j in J) > sum(ints):
         raise InvalidArgument(f"J={list(J)} is not relevant for this r")
-    return (Fraction(0), Fraction(2 * min(ints[j - 1] for j in J), r.den))
+    return (Fraction(0), _fraction(2 * min(ints[j - 1] for j in J), r.den))
 
 
 def canonical_epsilon(r) -> Fraction:
     """The canonical slack min_i r_i, legal for every relevant subset."""
     r = as_length_vector(r)
-    return Fraction(min(r.ints), r.den)
+    return _fraction(min(r.ints), r.den)
 
 
 def augment(r, J, eps_J) -> LengthVector:
@@ -626,7 +641,7 @@ def augment(r, J, eps_J) -> LengthVector:
             f"eps_J={eps} violates the legal range 0 < eps_J < {hi} "
             f"(= 2 min over J of r_j) for J={list(J)}"
         )
-    tail = Fraction(sum(r.ints[j - 1] for j in J), r.den) - eps
+    tail = _fraction(sum(r.ints[j - 1] for j in J), r.den) - eps
     out = LengthVector([r.r[j - 1] for j in J] + [tail])
     if not is_favorable(out, out.n):
         raise InternalError("augmented vector left the dominated chamber")

@@ -46,6 +46,7 @@ from .chambers import (
     as_length_vector,
     _bubble_candidates,
     _canonical_walls,
+    _fraction,
     _FrozenRecord,
     _Record,
     _walls_on,
@@ -233,7 +234,7 @@ def strata(r, include_empty: bool = False):
     labels = [()]
     for j in range(1, r.n + 1):
         labels += [b + (j,) for b in labels]
-    lengths = [Fraction(s, r.den) for s in sums]
+    lengths = [_fraction(s, r.den) for s in sums]
     entries = []
     index = {}
     for part in _partitions(len(sums) - 1):

@@ -16,7 +16,6 @@ the dimension count, and a deterministic sampler.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import inf
 from typing import Optional
 
@@ -27,6 +26,7 @@ from .chambers import (
     signature,
     _central_lengths,
     _central_signature,
+    _fraction,
     _light,
     _Record,
     _seed,
@@ -141,20 +141,24 @@ def param_sample(n: int, seed: int = 0) -> ParamPoint:
     """Deterministic sample of the parameter cone near the all-ones ray.
 
     The length jitter stays small enough (exact-rational bookkeeping) that no
-    wall sign can flip relative to the base point; every slack is drawn
-    uniformly from its open range, whose bound 2 min_J r_j is read from a
-    table of subset minima.  Each sampled point satisfies
-    n + #R_{>2}(r) = param_dim(n).  Seeds are integers >= 0.
+    wall sign can flip relative to the base point: each jittered length is
+    formed as one integer numerator over a denominator common to all labels.
+    Every slack is drawn uniformly from its open range, whose bound
+    2 min_J r_j is read from a table of subset minima.  Each sampled point
+    satisfies n + #R_{>2}(r) = param_dim(n).  Seeds are integers >= 0.
     """
     if n < 5:
         raise InvalidArgument("need n >= 5")
     rng = random.Random(1_000_003 * _seed(seed) + n)
-    # margins at the base are at least delta = 1/(n^3 2^n) for even n and at
-    # least 1 for odd n; scale the jitter to stay well below that
-    floor = Fraction(1) if n % 2 == 1 else Fraction(1, n**3 * 2**n)
-    scale = floor / (4 * n)
+    # margins at the base are at least 1/den, den = n^3 2^n for even n and 1
+    # for odd n; each length moves by k/(4n^3 den), k in 0..n^2, so by at most
+    # 1/(4n den): one integer numerator over the common denominator 4n^3 den
+    den = 1 if n % 2 == 1 else n**3 * 2**n
+    scale = 4 * n**3
     r = LengthVector(
-        b + scale * Fraction(rng.randint(0, n * n), n * n) for b in _central_lengths(n)
+        _fraction(b.numerator * (den // b.denominator) * scale + rng.randint(0, n * n),
+                  scale * den)
+        for b in _central_lengths(n)
     )
     if not central_contains(r):
         raise InternalError("sampler left the central chamber")
@@ -163,7 +167,7 @@ def param_sample(n: int, seed: int = 0) -> ParamPoint:
     bounds = _twice_minima(r.ints)
     eps = EpsilonAssignment()
     eps.eps = {
-        frozenset(J): Fraction(bounds[m] * rng.randint(1, 63), 64 * r.den)
+        frozenset(J): _fraction(bounds[m] * rng.randint(1, 63), 64 * r.den)
         for m, J in _light(r, 3)
     }
     if n + len(eps.eps) != param_dim(n):

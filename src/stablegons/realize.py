@@ -250,9 +250,11 @@ def close(r, seed=None, hints=None, tol: Optional[float] = None) -> EdgeFrame:
     fan-triangulation action-angle coordinates drawn from `seed` (None, a
     Generator or an int >= 0), so runs are deterministic per seed.  Hint
     directions that close within `tol` (default 1e-10) are returned as they
-    are; others are moved to within `tol` by the Mobius boost that balances
-    them for r, as in :func:`transport`, so the frame keeps the hint's moduli
-    point.  A frame failing :meth:`EdgeFrame.is_closed` raises NonConvergence.
+    are; others are moved by the Mobius boost that balances them for r, as in
+    :func:`transport`, so the frame keeps the hint's moduli point.  Like the
+    closure check, the balancing target grows with the longest edge (see
+    :func:`_rebalance`).  A frame failing :meth:`EdgeFrame.is_closed` raises
+    NonConvergence.
     """
     r = as_length_vector(r)
     if not r.in_cone_interior():
@@ -627,24 +629,27 @@ def _rebalance(u: np.ndarray, weights: np.ndarray, tol: float) -> np.ndarray:
     Newton's method on the Douady-Earle conformal barycenter: each step
     solves J b = -F at the current points, caps |b| at 1/2, halves b until
     the residual |F| drops, and moves the points by :func:`_boost`.  It stops
-    at 1e-2 `tol` per unit of total weight, never above `tol`, the closure
-    tolerance the caller checks next.  The balanced configuration exists and
-    is unique up to rotation exactly when no coincident cluster carries half
-    the total weight, which holds strictly inside a chamber.  Such a cluster
-    (within the default angle tolerance) or points on one axis raise
-    NonConvergence before the first step; a singular J or a step that finds
-    no decrease raise it with the residual reached.  The angle matrix for
-    that check is formed only when two unit rows have |u_i . u_j| > 0.99, as
-    any two within the angle tolerance of each other or of each other's
+    at 1e-2 `tol` per unit of total weight, capped at `tol`, or at 1e-2 `tol`
+    per unit of the largest weight if that is more, so rounding that grows
+    with the lengths cannot stall it; either stays within the closure bound
+    of :meth:`EdgeFrame.is_closed` that the caller checks next, and up to a
+    largest weight of 100 the first decides.  The balanced configuration
+    exists and is unique up to rotation exactly when no coincident cluster
+    carries half the total weight, which holds strictly inside a chamber.
+    Such a cluster (within the default angle tolerance) or points on one axis
+    raise NonConvergence before the first step; a singular J or a step that
+    finds no decrease raise it with the residual reached.  The angle matrix
+    for that check is formed only when two unit rows have |u_i . u_j| > 0.99,
+    as any two within the angle tolerance of each other or of each other's
     opposite do; without such a pair only one point can carry half the weight.
     """
     x = u
     F = weights @ x
     total = float(np.sum(weights))
-    target = tol * min(1.0, 1e-2 * max(1.0, total))
+    w = weights.tolist()
+    target = tol * max(min(1.0, 1e-2 * max(1.0, total)), 1e-2 * max(w))
     start = _norm(F)
     if start > target:
-        w = weights.tolist()
         near = np.abs(x @ x.T) > 0.99
         np.fill_diagonal(near, False)
         refuse = 2.0 * max(w) >= total

@@ -759,3 +759,76 @@ def test_light_subsets_share_one_candidate_table():
     full = {J: J for _, J in chambers._bubble_candidates(9)}
     for min_size in (0, 2, 3, 5):
         assert all(full[J] is J for J in relevant_subsets(r, min_size))
+
+
+def _same_fraction(x, want):
+    return (
+        type(x) is Fraction
+        and (x.numerator, x.denominator) == (want.numerator, want.denominator)
+        and hash(x) == hash(want)
+    )
+
+
+def test_fraction_constructor_matches_the_stdlib():
+    import pickle
+
+    # the constructor fills these two slots; another layout must fail here
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+    rng = random.Random(26)
+    cases = [(0, 1), (0, 7), (5, 1), (-5, 1), (6, 4), (-6, 4), (10**45, 3 * 10**44)]
+    for _ in range(400):
+        digits = rng.choice((1, 3, 12, 45))
+        num = rng.randint(-(10**digits), 10**digits)
+        den = rng.choice((1, rng.randint(1, 10**digits)))
+        cases.append((num, den))
+        cases.append((num * den, den))  # a whole number after reduction
+    for num, den in cases:
+        x, want = chambers._fraction(num, den), Fraction(num, den)
+        assert x == want and _same_fraction(x, want), (num, den)
+        assert pickle.dumps(x) == pickle.dumps(want)
+        assert _same_fraction(pickle.loads(pickle.dumps(x)), want)
+
+
+def _on_wall(rng, r):
+    """r moved onto a random wall by growing one label on its light side."""
+    n, r = len(r), list(r)
+    J = rng.sample(range(n), rng.randint(2, n - 2))
+    gap = 2 * sum(r[j] for j in J) - sum(r)
+    r[rng.choice([j for j in range(n) if (j in J) == (gap < 0)])] += abs(gap)
+    return r
+
+
+def test_margins_are_the_wall_margins():
+    rng = random.Random(260)
+    on_wall = 0
+    for k in range(54):
+        n = 4 + k % 9
+        while True:
+            r = [rng.randint(1, 40) for _ in range(n)]  # integers: den 1
+            if k % 3 == 1:
+                r = [F(x, rng.choice((1, 3, 10))) for x in r]
+            elif k % 3 == 2:
+                r = _on_wall(rng, r)
+            if 2 * max(r) < sum(r):
+                break
+        light = relevant_subsets(r, 2, with_margins=True)
+        on_wall += any(m == 0 for _, m in light)
+        for J, m in light:
+            assert _same_fraction(m, wall_margin(r, J)), (r, J)
+            assert _same_fraction(m, F(2 * sum(r[j - 1] for j in J) - sum(r))), (r, J)
+    assert on_wall >= 12
+
+
+def test_signature_signs_are_the_wall_margin_signs():
+    rng = random.Random(261)
+    # odd and even perimeters, on walls and off them
+    cases = [[1] * 9 + [2], [1] * 9 + [3], [1] * 8, [1] * 7, [2, 3, 4, 5, 6]]
+    for n in range(4, 11):
+        r = [rng.randint(1, 20) for _ in range(n)]
+        cases += [r, _on_wall(rng, r)]
+    for r in cases:
+        if 2 * max(r) >= sum(r):
+            continue
+        want = [(wall_margin(r, w.J) > 0) - (wall_margin(r, w.J) < 0)
+                for w in chambers.all_walls(len(r))]
+        assert list(signature(r).vector) == want, r

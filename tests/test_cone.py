@@ -1,9 +1,18 @@
+import random
+
 import pytest
 from fractions import Fraction
 
-from stablegons.chambers import EpsilonAssignment, LengthVector, relevant_subsets
+from stablegons.chambers import (
+    EpsilonAssignment,
+    LengthVector,
+    _central_lengths,
+    _light,
+    relevant_subsets,
+)
 from stablegons.cone import (
     ParamPoint,
+    _twice_minima,
     central_contains,
     central_report,
     param_contains,
@@ -197,3 +206,25 @@ def test_param_point_is_a_record():
         ParamPoint(p.r, r=p.r)
     with pytest.raises(TypeError):
         ParamPoint(p.r, p.eps, None)
+
+
+def _reference_sample(n, seed):
+    """param_sample as it was first written, in Fraction arithmetic."""
+    rng = random.Random(1_000_003 * seed + n)
+    floor = F(1) if n % 2 == 1 else F(1, n**3 * 2**n)
+    scale = floor / (4 * n)
+    r = LengthVector(b + scale * F(rng.randint(0, n * n), n * n) for b in _central_lengths(n))
+    bounds = _twice_minima(r.ints)
+    eps = {frozenset(J): F(bounds[m] * rng.randint(1, 63), 64 * r.den) for m, J in _light(r, 3)}
+    return r, eps
+
+
+def test_param_sample_matches_the_fraction_reference():
+    for n in range(5, 13):
+        for seed in range(10):
+            p = param_sample(n, seed=seed)
+            r, eps = _reference_sample(n, seed)
+            assert p.r == r and p.eps.eps == eps and p.eps.default is None
+            for got, want in zip(p.r.r + tuple(p.eps.eps.values()), r.r + tuple(eps.values())):
+                assert type(got) is Fraction
+                assert (got.numerator, got.denominator) == (want.numerator, want.denominator)

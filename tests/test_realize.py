@@ -343,6 +343,14 @@ class TestClose:
         assert frame.residual <= 1e-10
         assert pgl2_equivalent(moduli_point(EdgeFrame(r, u)), moduli_point(frame))
 
+    @pytest.mark.parametrize("b", [1e6, 1e7, 2.0**200])
+    def test_large_hints_balance_to_the_scaled_bound(self, b):
+        # rounding in the hint grows with the edges, so balancing to an
+        # absolute 1e-10 stalled from about 1e7 on
+        for seed in range(20):
+            frame = close([b] * 4, hints=close([b] * 4, seed=seed).u)
+            assert frame.is_closed() and frame.residual <= 1e-10 * b
+
 
 class TestCanonicalize:
     def test_square(self):
@@ -679,6 +687,16 @@ class TestTransport:
         side /= np.linalg.norm(side)
         u[0] = np.cos(4e-12) * u[0] + np.sin(4e-12) * side
         assert transport(EdgeFrame(r, u), 30).residual <= 1e-10
+
+    @pytest.mark.parametrize("b", [1e6, 1e7, 2.0**200])
+    def test_large_polygons_transport(self, b):
+        # the rebalancing target scales with the longest edge, as the closure
+        # check does, so large polygons no longer stall
+        for seed in range(20):
+            frame = close([b] * 4 + [3.5 * b], seed=seed)
+            moved = transport(frame, 3.3 * b)
+            assert moved.is_closed() and moved.residual <= 1e-10 * 3.5 * b
+            assert pgl2_equivalent(moduli_point(frame), moduli_point(moved))
 
     def test_balance_jacobian_matches_central_differences(self):
         rng = np.random.default_rng(8)
