@@ -784,7 +784,7 @@ def test_fraction_constructor_matches_the_stdlib():
         cases.append((num * den, den))  # a whole number after reduction
     for num, den in cases:
         x, want = chambers._fraction(num, den), Fraction(num, den)
-        assert x == want and _same_fraction(x, want), (num, den)
+        assert _same_fraction(x, want), (num, den)
         assert pickle.dumps(x) == pickle.dumps(want)
         assert _same_fraction(pickle.loads(pickle.dumps(x)), want)
 

@@ -345,8 +345,8 @@ class TestClose:
 
     @pytest.mark.parametrize("b", [1e6, 1e7, 2.0**200])
     def test_large_hints_balance_to_the_scaled_bound(self, b):
-        # rounding in the hint grows with the edges, so balancing to an
-        # absolute 1e-10 stalled from about 1e7 on
+        # rounding in the hint grows with the edges, and so does the
+        # balancing target, as the closure bound does
         for seed in range(20):
             frame = close([b] * 4, hints=close([b] * 4, seed=seed).u)
             assert frame.is_closed() and frame.residual <= 1e-10 * b
@@ -691,7 +691,7 @@ class TestTransport:
     @pytest.mark.parametrize("b", [1e6, 1e7, 2.0**200])
     def test_large_polygons_transport(self, b):
         # the rebalancing target scales with the longest edge, as the closure
-        # check does, so large polygons no longer stall
+        # check does
         for seed in range(20):
             frame = close([b] * 4 + [3.5 * b], seed=seed)
             moved = transport(frame, 3.3 * b)
