@@ -70,17 +70,42 @@ def parse_tols(pairs):
     return tol
 
 
-def parse_classes(text):
-    if not text:
-        return []
-    return [parse_labels(chunk, "--parallel") for chunk in text.split("|")]
-
-
 def emit(command: str, options: dict, result, out=None):
     out = out if out is not None else sys.stdout
     doc = {"command": command, "options": options, "result": result}
     json.dump(doc, out, sort_keys=True, indent=2)
     out.write("\n")
+
+
+# every flag once, as (option string, add_argument keywords)
+FLAGS = {
+    "r": ("--r", {"required": True, "help": "comma-separated rationals"}),
+    "n": ("--n", {"type": int, "required": True}),
+    "seed": ("--seed", {"type": int, "default": 0}),
+    "eps": ("--eps", {"default": "canonical", "help": '"canonical" or "1,2=1/2;..."'}),
+    "J": ("--J", {"required": True, "help": "comma-separated 1-based labels"}),
+    "tol": ("--tol", {"action": "append", "metavar": "NAME=VALUE"}),
+    "out": ("--out", {"choices": ["json", "dot"], "default": "json"}),
+    "parallel": ("--parallel", {"help": 'force classes, e.g. "1,2,3|4,5"'}),
+    "steps": ("--steps", {"type": int, "default": 12}),
+    "include_empty": ("--include-empty", {"action": "store_true"}),
+    "method": ("--method", {"choices": ["wallcross", "closed", "stable"], "default": "wallcross"}),
+    "sample": ("--sample", {"type": int, "default": 10}),
+}
+
+# subcommand name -> (help, flags, handler), filled by @command; a flag is a
+# key of FLAGS or a (key, keywords) pair that changes its keywords there
+COMMANDS = {}
+
+
+def command(name: str, help_text: str, *flags):
+    """Register a handler, which returns the result of subcommand `name`."""
+
+    def register(handler):
+        COMMANDS[name] = (help_text, flags, handler)
+        return handler
+
+    return register
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,57 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="moduli of polygons, stable polygons, and their Betti numbers",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, r=True, seed=False, eps=False, J=False, tol=False, out_dot=False):
-        if r:
-            sp.add_argument("--r", required=True, help="comma-separated rationals")
-        if seed:
-            sp.add_argument("--seed", type=int, default=0)
-        if eps:
-            sp.add_argument("--eps", default="canonical", help='"canonical" or "1,2=1/2;..."')
-        if J:
-            sp.add_argument("--J", required=True, help="comma-separated 1-based labels")
-        if tol:
-            sp.add_argument("--tol", action="append", metavar="NAME=VALUE")
-        if out_dot:
-            sp.add_argument("--out", choices=["json", "dot"], default="json")
-
-    common(sub.add_parser("classify", help="exact chamber report"))
-
-    sp = sub.add_parser("realize", help="close a polygon and fix its gauge")
-    common(sp, seed=True, tol=True)
-    sp.add_argument("--parallel", help='force classes, e.g. "1,2,3|4,5"')
-
-    sp = sub.add_parser("stabilize", help="bubble tree over a closed frame")
-    common(sp, seed=True, eps=True, tol=True)
-    sp.add_argument("--parallel", help='force classes, e.g. "1,2,3|4,5"')
-
-    sp = sub.add_parser("limit", help="bubble limit of a degenerating family")
-    common(sp, seed=True, eps=True, J=True, tol=True)
-    sp.add_argument("--steps", type=int, default=12)
-
-    sp = sub.add_parser("curve", help="combinatorial stable curve of a stable polygon")
-    common(sp, seed=True, eps=True, tol=True, out_dot=True)
-    sp.add_argument("--parallel", help='force classes, e.g. "1,2,3|4,5"')
-
-    sp = sub.add_parser("strata", help="parallel-edge strata and their poset")
-    common(sp)
-    sp.add_argument("--include-empty", action="store_true")
-
-    sp = sub.add_parser("schedule", help="resolution and blowup schedule")
-    common(sp, eps=True, out_dot=True)
-
-    sp = sub.add_parser("poincare", help="Poincare polynomial, three methods")
-    sp.add_argument("--r", help="comma-separated rationals")
-    sp.add_argument("--n", type=int, help="edge count (closed method)")
-    sp.add_argument("--method", choices=["wallcross", "closed", "stable"], default="wallcross")
-    sp.add_argument("--eps", default="canonical")
-
-    sp = sub.add_parser("cone", help="sample the (r, eps) parameter cone")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--sample", type=int, default=10)
-    sp.add_argument("--seed", type=int, default=0)
-
+    for name, (help_text, flags, _) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            key, changes = (flag, {}) if isinstance(flag, str) else flag
+            option, keywords = FLAGS[key]
+            sp.add_argument(option, **{**keywords, **changes})
     return p
 
 
@@ -147,133 +127,122 @@ def _options(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k != "command" and v is not None}
 
 
-def _degenerate_or_close(r, classes, seed, tol):
+def _frame(args, r, tol):
+    """The closed frame of r, degenerate along the classes of --parallel."""
     from . import realize
 
-    if classes:
-        return realize.close_degenerate(r, classes, seed=seed, tol=tol.closure)
-    return realize.close(r, seed=seed, tol=tol.closure)
+    if args.parallel:
+        classes = [parse_labels(chunk, "--parallel") for chunk in args.parallel.split("|")]
+        return realize.close_degenerate(r, classes, seed=args.seed, tol=tol.closure)
+    return realize.close(r, seed=args.seed, tol=tol.closure)
+
+
+def _bubble_tree(args):
+    """(stable polygon, tolerances) over the frame of `stabilize` and `curve`."""
+    from . import stable
+
+    tol = parse_tols(args.tol)
+    r = parse_lengths(args.r)
+    eps = parse_eps(args.eps, r)
+    return stable.stabilize(_frame(args, r, tol), eps, filler=args.seed, tol=tol), tol
+
+
+@command("classify", "exact chamber report", "r")
+def _classify(args):
+    return classify(parse_lengths(args.r)).to_json()
+
+
+@command("realize", "close a polygon and fix its gauge", "r", "seed", "tol", "parallel")
+def _realize(args):
+    from . import realize
+
+    tol = parse_tols(args.tol)
+    frame = _frame(args, parse_lengths(args.r), tol)
+    return realize.canonicalize(frame, tol.angle).to_json()
+
+
+@command("stabilize", "bubble tree over a closed frame", "r", "seed", "eps", "tol", "parallel")
+def _stabilize(args):
+    return _bubble_tree(args)[0].to_json()
+
+
+@command("limit", "bubble limit of a degenerating family", "r", "seed", "eps", "J", "tol", "steps")
+def _limit(args):
+    from . import stable
+
+    tol = parse_tols(args.tol)
+    r = parse_lengths(args.r)
+    J = parse_subset(args.J)
+    eps = parse_eps(args.eps, r)
+    frames = _interpolating_family(r, J, args.seed, args.steps)
+    return stable.limit(frames, J, eps.get(J), tol=tol).to_json()
+
+
+@command("curve", "combinatorial stable curve of a stable polygon",
+         "r", "seed", "eps", "tol", "out", "parallel")
+def _curve(args):
+    from . import stable
+
+    sp, tol = _bubble_tree(args)
+    curve = stable.to_stable_curve(sp, tol)
+    return curve.to_dot() if args.out == "dot" else curve.to_json()
+
+
+@command("strata", "parallel-edge strata and their poset", "r", "include_empty")
+def _strata(args):
+    from . import cohomology
+
+    entries, edges = cohomology.strata(parse_lengths(args.r), include_empty=args.include_empty)
+    return {
+        "strata": [e.to_json() for e in entries],
+        "poset_edges": [[[list(b) for b in a], [list(b) for b in c]] for a, c in edges],
+    }
+
+
+@command("schedule", "resolution and blowup schedule", "r", "eps", "out")
+def _schedule(args):
+    from . import cohomology
+
+    r = parse_lengths(args.r)
+    steps = cohomology.schedule(r, parse_eps(args.eps, r))
+    return _schedule_dot(steps) if args.out == "dot" else [s.to_json() for s in steps]
+
+
+@command("poincare", "Poincare polynomial, three methods", ("r", {"required": False}),
+         ("n", {"required": False, "help": "edge count (closed method)"}), "method",
+         ("eps", {"help": None}))
+def _poincare(args):
+    from . import cohomology
+
+    if args.method == "closed":
+        n = args.n if args.n else parse_lengths(args.r).n
+        poly = (cohomology.poincare_center if n % 2 == 1 else cohomology.ih_poincare_center)(n)
+    elif not args.r:
+        raise InvalidArgument(f"--r is required for the {args.method} method")
+    elif args.method == "wallcross":
+        poly = cohomology.poincare_wall_crossing(parse_lengths(args.r))
+    else:
+        r = parse_lengths(args.r)
+        poly = cohomology.stable_betti(r, parse_eps(args.eps, r))
+    return {"coefficients": poly.to_json()}
+
+
+@command("cone", "sample the (r, eps) parameter cone", "n", "sample", "seed")
+def _cone(args):
+    from . import cone
+
+    points = [cone.param_sample(args.n, seed=args.seed + i) for i in range(args.sample)]
+    dim = cone.param_dim(args.n)
+    ok = all(p.r.n + len(p.eps.eps) == dim and cone.param_contains(p) for p in points)
+    return {"param_dim": dim, "dimension_check": ok, "points": [p.to_json() for p in points]}
 
 
 def run(args) -> int:
-    cmd = args.command
-
-    if cmd == "classify":
-        r = parse_lengths(args.r)
-        emit(cmd, _options(args), classify(r).to_json())
-
-    elif cmd == "realize":
-        from . import realize
-
-        tol = parse_tols(args.tol)
-        r = parse_lengths(args.r)
-        frame = _degenerate_or_close(r, parse_classes(args.parallel), args.seed, tol)
-        frame = realize.canonicalize(frame, tol.angle)
-        emit(cmd, _options(args), frame.to_json())
-
-    elif cmd == "stabilize":
-        from . import stable
-
-        tol = parse_tols(args.tol)
-        r = parse_lengths(args.r)
-        eps = parse_eps(args.eps, r)
-        frame = _degenerate_or_close(r, parse_classes(args.parallel), args.seed, tol)
-        sp = stable.stabilize(frame, eps, filler=args.seed, tol=tol)
-        emit(cmd, _options(args), sp.to_json())
-
-    elif cmd == "limit":
-        from . import stable
-
-        tol = parse_tols(args.tol)
-        r = parse_lengths(args.r)
-        J = parse_subset(args.J)
-        eps = parse_eps(args.eps, r)
-        frames = _interpolating_family(r, J, args.seed, args.steps)
-        bub = stable.limit(frames, J, eps.get(J), tol=tol)
-        emit(cmd, _options(args), bub.to_json())
-
-    elif cmd == "curve":
-        from . import stable
-
-        tol = parse_tols(args.tol)
-        r = parse_lengths(args.r)
-        eps = parse_eps(args.eps, r)
-        frame = _degenerate_or_close(r, parse_classes(args.parallel), args.seed, tol)
-        sp = stable.stabilize(frame, eps, filler=args.seed, tol=tol)
-        curve = stable.to_stable_curve(sp, tol)
-        if args.out == "dot":
-            sys.stdout.write(curve.to_dot() + "\n")
-        else:
-            emit(cmd, _options(args), curve.to_json())
-
-    elif cmd == "strata":
-        from . import cohomology
-
-        r = parse_lengths(args.r)
-        entries, edges = cohomology.strata(r, include_empty=args.include_empty)
-        emit(
-            cmd,
-            _options(args),
-            {
-                "strata": [e.to_json() for e in entries],
-                "poset_edges": [
-                    [[list(b) for b in a], [list(b) for b in c]] for a, c in edges
-                ],
-            },
-        )
-
-    elif cmd == "schedule":
-        from . import cohomology
-
-        r = parse_lengths(args.r)
-        eps = parse_eps(args.eps, r)
-        steps = cohomology.schedule(r, eps)
-        if args.out == "dot":
-            sys.stdout.write(_schedule_dot(steps) + "\n")
-        else:
-            emit(cmd, _options(args), [s.to_json() for s in steps])
-
-    elif cmd == "poincare":
-        from . import cohomology
-
-        if args.method == "closed":
-            n = args.n if args.n else parse_lengths(args.r).n
-            poly = (
-                cohomology.poincare_center(n)
-                if n % 2 == 1
-                else cohomology.ih_poincare_center(n)
-            )
-        elif args.method == "wallcross":
-            if not args.r:
-                raise InvalidArgument("--r is required for the wallcross method")
-            poly = cohomology.poincare_wall_crossing(parse_lengths(args.r))
-        else:
-            if not args.r:
-                raise InvalidArgument("--r is required for the stable method")
-            r = parse_lengths(args.r)
-            poly = cohomology.stable_betti(r, parse_eps(args.eps, r))
-        emit(cmd, _options(args), {"coefficients": poly.to_json()})
-
-    elif cmd == "cone":
-        from . import cone
-
-        points = [cone.param_sample(args.n, seed=args.seed + i) for i in range(args.sample)]
-        ok = all(
-            p.r.n + len(p.eps.eps) == cone.param_dim(args.n) and cone.param_contains(p)
-            for p in points
-        )
-        emit(
-            cmd,
-            _options(args),
-            {
-                "param_dim": cone.param_dim(args.n),
-                "dimension_check": ok,
-                "points": [p.to_json() for p in points],
-            },
-        )
-
-    else:  # pragma: no cover
-        raise InvalidArgument(f"unknown command {cmd!r}")
+    result = COMMANDS[args.command][2](args)
+    if isinstance(result, str):  # a --out dot drawing, written as it is
+        sys.stdout.write(result + "\n")
+    else:
+        emit(args.command, _options(args), result)
     return 0
 
 
