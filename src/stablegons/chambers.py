@@ -127,7 +127,10 @@ class LengthVector:
     __slots__ = ("r", "ints", "den", "_sums", "_floats")
 
     def __init__(self, lengths: Iterable):
-        r = tuple(rational(x) for x in lengths)
+        try:
+            r = tuple(rational(x) for x in lengths)
+        except TypeError:
+            raise InvalidArgument(f"{lengths!r} is not a collection of lengths") from None
         if len(r) < 2:
             raise InvalidArgument("a length vector needs at least 2 entries")
         if min(x.numerator for x in r) <= 0:
@@ -323,6 +326,7 @@ def wall_margin(r, J) -> Fraction:
 
 def all_walls(n: int):
     """All interior walls of the n-gon cone, canonically indexed; n <= MAX_N."""
+    n = _label(n, "n")
     if n < 3:
         raise InvalidArgument("need n >= 3")
     _require_tabulable(n)
@@ -436,6 +440,7 @@ def central_base(n: int) -> LengthVector:
     point is off every wall (coordinate-linear perturbations such as (1,2,...,n)
     fail already at n=8, where {1,2,7,8} and {3,4,5,6} have equal weight).
     """
+    n = _label(n, "n")
     if n < 3:
         raise InvalidArgument("need n >= 3")
     return LengthVector(_central_lengths(n))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import inf
 
 from .chambers import EpsilonAssignment, LengthVector, classify, rational
 from .errors import InvalidArgument, NonConvergence
@@ -64,10 +65,19 @@ def parse_tols(pairs):
     for item in pairs or []:
         try:
             name, val = item.split("=")
-            tol = replace(tol, **{name: float(val)})
+            val = float(val)
+            tol = replace(tol, **{name: val})
         except (ValueError, TypeError) as exc:
             raise InvalidArgument(f"cannot parse --tol {item!r}: {exc}") from None
+        if not 0 <= val < inf:  # NaN fails both comparisons
+            raise InvalidArgument(f"--tol {item!r} is not a finite value >= 0")
     return tol
+
+
+def _count(value: int, flag: str) -> int:
+    if value < 0:
+        raise InvalidArgument(f"{flag} {value} is negative")
+    return value
 
 
 def emit(command: str, options: dict, result, out=None):
@@ -77,12 +87,15 @@ def emit(command: str, options: dict, result, out=None):
     out.write("\n")
 
 
-# every flag once, as (option string, add_argument keywords)
+# every flag spec once, as (option string, add_argument keywords)
 FLAGS = {
     "r": ("--r", {"required": True, "help": "comma-separated rationals"}),
+    "poincare_r": ("--r", {"help": "comma-separated rationals"}),
     "n": ("--n", {"type": int, "required": True}),
+    "poincare_n": ("--n", {"type": int, "help": "edge count (closed method)"}),
     "seed": ("--seed", {"type": int, "default": 0}),
     "eps": ("--eps", {"default": "canonical", "help": '"canonical" or "1,2=1/2;..."'}),
+    "poincare_eps": ("--eps", {"default": "canonical"}),
     "J": ("--J", {"required": True, "help": "comma-separated 1-based labels"}),
     "tol": ("--tol", {"action": "append", "metavar": "NAME=VALUE"}),
     "out": ("--out", {"choices": ["json", "dot"], "default": "json"}),
@@ -93,13 +106,15 @@ FLAGS = {
     "sample": ("--sample", {"type": int, "default": 10}),
 }
 
-# subcommand name -> (help, flags, handler), filled by @command; a flag is a
-# key of FLAGS or a (key, keywords) pair that changes its keywords there
+# subcommand name -> (help, keys of FLAGS, handler), filled by @command
 COMMANDS = {}
 
 
 def command(name: str, help_text: str, *flags):
-    """Register a handler, which returns the result of subcommand `name`."""
+    """Register a handler, which returns the result of subcommand `name`.
+
+    `flags` are keys of FLAGS, in the order --help lists them.
+    """
 
     def register(handler):
         COMMANDS[name] = (help_text, flags, handler)
@@ -116,10 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     for name, (help_text, flags, _) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        for flag in flags:
-            key, changes = (flag, {}) if isinstance(flag, str) else flag
+        for key in flags:
             option, keywords = FLAGS[key]
-            sp.add_argument(option, **{**keywords, **changes})
+            sp.add_argument(option, **keywords)
     return p
 
 
@@ -174,7 +188,7 @@ def _limit(args):
     r = parse_lengths(args.r)
     J = parse_subset(args.J)
     eps = parse_eps(args.eps, r)
-    frames = _interpolating_family(r, J, args.seed, args.steps)
+    frames = _interpolating_family(r, J, args.seed, _count(args.steps, "--steps"))
     return stable.limit(frames, J, eps.get(J), tol=tol).to_json()
 
 
@@ -208,14 +222,15 @@ def _schedule(args):
     return _schedule_dot(steps) if args.out == "dot" else [s.to_json() for s in steps]
 
 
-@command("poincare", "Poincare polynomial, three methods", ("r", {"required": False}),
-         ("n", {"required": False, "help": "edge count (closed method)"}), "method",
-         ("eps", {"help": None}))
+@command("poincare", "Poincare polynomial, three methods",
+         "poincare_r", "poincare_n", "method", "poincare_eps")
 def _poincare(args):
     from . import cohomology
 
     if args.method == "closed":
-        n = args.n if args.n else parse_lengths(args.r).n
+        if args.n is None and not args.r:
+            raise InvalidArgument("--n or --r is required for the closed method")
+        n = args.n if args.n is not None else parse_lengths(args.r).n
         poly = (cohomology.poincare_center if n % 2 == 1 else cohomology.ih_poincare_center)(n)
     elif not args.r:
         raise InvalidArgument(f"--r is required for the {args.method} method")
@@ -231,7 +246,8 @@ def _poincare(args):
 def _cone(args):
     from . import cone
 
-    points = [cone.param_sample(args.n, seed=args.seed + i) for i in range(args.sample)]
+    sample = range(_count(args.sample, "--sample"))
+    points = [cone.param_sample(args.n, seed=args.seed + i) for i in sample]
     dim = cone.param_dim(args.n)
     ok = all(p.r.n + len(p.eps.eps) == dim and cone.param_contains(p) for p in points)
     return {"param_dim": dim, "dimension_check": ok, "points": [p.to_json() for p in points]}

@@ -48,6 +48,7 @@ from .chambers import (
     _canonical_walls,
     _fraction,
     _FrozenRecord,
+    _label,
     _Record,
     _walls_on,
 )
@@ -383,6 +384,7 @@ def _center_series(n: int) -> PoincarePoly:
 
 def poincare_center(n: int) -> PoincarePoly:
     """Closed form for the chamber at the all-ones ray, n odd."""
+    n = _label(n, "n")
     if n < 5 or n % 2 == 0:
         raise InvalidArgument("need odd n >= 5")
     return _center_series(n)
@@ -390,6 +392,7 @@ def poincare_center(n: int) -> PoincarePoly:
 
 def ih_poincare_center(n: int) -> PoincarePoly:
     """Intersection Poincare polynomial of the quotient at the ray, n even."""
+    n = _label(n, "n")
     if n < 6 or n % 2 == 1:
         raise InvalidArgument("need even n >= 6")
     return _center_series(n)

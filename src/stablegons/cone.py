@@ -27,6 +27,7 @@ from .chambers import (
     _central_lengths,
     _central_signature,
     _fraction,
+    _label,
     _light,
     _Record,
     _seed,
@@ -132,6 +133,7 @@ def param_contains(p: ParamPoint, base: Optional[LengthVector] = None) -> bool:
 
 def param_dim(n: int) -> int:
     """Number of parameters: 2^(n-1) - (n^2 - n + 2)/2."""
+    n = _label(n, "n")
     if n < 5:
         raise InvalidArgument("need n >= 5")
     return 2 ** (n - 1) - (n * n - n + 2) // 2
@@ -147,6 +149,7 @@ def param_sample(n: int, seed: int = 0) -> ParamPoint:
     2 min_J r_j is read from a table of subset minima.  Each sampled point
     satisfies n + #R_{>2}(r) = param_dim(n).  Seeds are integers >= 0.
     """
+    n = _label(n, "n")
     if n < 5:
         raise InvalidArgument("need n >= 5")
     rng = random.Random(1_000_003 * _seed(seed) + n)

@@ -832,3 +832,27 @@ def test_signature_signs_are_the_wall_margin_signs():
         want = [(wall_margin(r, w.J) > 0) - (wall_margin(r, w.J) < 0)
                 for w in chambers.all_walls(len(r))]
         assert list(signature(r).vector) == want, r
+
+
+@pytest.mark.parametrize("n", [5.5, True, "7", None])
+@pytest.mark.parametrize(
+    "name",
+    ["param_dim", "param_sample", "central_base", "poincare_center", "ih_poincare_center",
+     "all_walls"],
+)
+def test_closed_forms_in_n_refuse_a_non_integer(name, n):
+    function = getattr(chambers, name, None) or getattr(stablegons, name)
+    with pytest.raises(InvalidArgument, match="is not an integer"):
+        function(n)
+
+
+@pytest.mark.parametrize("bad", [None, 3])
+@pytest.mark.parametrize("name", ["LengthVector", "classify", "signature", "strata"])
+def test_non_iterable_lengths_are_refused(name, bad):
+    with pytest.raises(InvalidArgument, match="is not a collection of lengths"):
+        getattr(stablegons, name)(bad)
+
+
+def test_non_iterable_base_is_refused():
+    with pytest.raises(InvalidArgument, match="is not a collection of lengths"):
+        classify((1, 1, 1, 1, 1), base=5)

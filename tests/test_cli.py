@@ -284,3 +284,55 @@ def test_classify_is_exact_beyond_the_float_range(capsys):
     code, out, _ = run_cli(capsys, "classify", "--r", "1e400,1e400,1e400,3e400")
     assert code == 0
     assert json.loads(out)["result"]["in_cone_interior"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("poincare", "--method", "closed"), "--n or --r"),
+        # --n 0 now reaches the closed form, which names n in its refusal
+        (("poincare", "--method", "closed", "--n", "0", "--r", "1,1,1,1,1"), "n >= 6"),
+        (("limit", "--r", "1,1,1,2,2,2", "--J", "1,2,3", "--steps", "-1"), "--steps"),
+        (("cone", "--n", "5", "--sample", "-2"), "--sample"),
+        (("realize", "--r", "1,1,1,1,1", "--tol", "closure=nan"), "--tol"),
+        (("realize", "--r", "1,1,1,1,1", "--tol", "closure=inf"), "--tol"),
+        (("curve", "--r", "1,1,1,1,1", "--tol", "angle=-1"), "--tol"),
+    ],
+    ids=["closed-no-n-no-r", "closed-n-0", "steps", "sample", "tol-nan", "tol-inf", "tol-neg"],
+)
+def test_out_of_range_flags_exit_2(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and named in err
+
+
+# (dest, default, required) of every option of every subcommand, in --help order
+PARSER_OPTIONS = {
+    "classify": [("r", None, True)],
+    "realize": [("r", None, True), ("seed", 0, False), ("tol", None, False),
+                ("parallel", None, False)],
+    "stabilize": [("r", None, True), ("seed", 0, False), ("eps", "canonical", False),
+                  ("tol", None, False), ("parallel", None, False)],
+    "limit": [("r", None, True), ("seed", 0, False), ("eps", "canonical", False),
+              ("J", None, True), ("tol", None, False), ("steps", 12, False)],
+    "curve": [("r", None, True), ("seed", 0, False), ("eps", "canonical", False),
+              ("tol", None, False), ("out", "json", False), ("parallel", None, False)],
+    "strata": [("r", None, True), ("include_empty", False, False)],
+    "schedule": [("r", None, True), ("eps", "canonical", False), ("out", "json", False)],
+    "poincare": [("r", None, False), ("n", None, False), ("method", "wallcross", False),
+                 ("eps", "canonical", False)],
+    "cone": [("n", None, True), ("sample", 10, False), ("seed", 0, False)],
+}
+
+
+def test_parser_options_are_pinned():
+    from stablegons.cli import build_parser
+
+    parser = build_parser()
+    (subcommands,) = [a for a in parser._actions if a.dest == "command"]
+    got = {
+        name: [(a.dest, a.default, a.required) for a in sp._actions if a.dest != "help"]
+        for name, sp in subcommands.choices.items()
+    }
+    assert got == PARSER_OPTIONS
+    assert list(got) == list(PARSER_OPTIONS)

@@ -189,3 +189,26 @@ def test_exact_layers_load_no_dataclasses(footprint):
     for step, loaded in footprint.items():
         assert not {"dataclasses", "inspect"} & set(loaded), step
         assert not {"stablegons.realize", "stablegons.stable"} & set(loaded), step
+
+
+HELP_BLOCKED = """
+import contextlib, io, sys
+sys.modules.update(dict.fromkeys(["numpy", "dataclasses"]))  # their imports fail
+from stablegons import cli
+
+for command in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main([command, "--help"])
+    assert code == 0 and out.getvalue().startswith("usage: stablegons " + command), command
+"""
+
+
+def test_help_of_every_subcommand_loads_neither_numpy_nor_dataclasses():
+    src = str(pathlib.Path(stablegons.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", HELP_BLOCKED, *sorted(EXACT_COMMANDS | NUMERIC_COMMANDS)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr.decode()
