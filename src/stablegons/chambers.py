@@ -253,15 +253,35 @@ def _check_subset(J, n, name: str = "J") -> tuple:
     return J
 
 
+def _json(x):
+    """The JSON value of x: the one encoding rule of every record.
+
+    None, bools, ints, floats and strings are kept; tuples and lists become
+    lists, a Fraction its exact string; anything else writes its own
+    ``to_json()``.
+    """
+    if x is None or isinstance(x, (int, float, str)):
+        return x
+    if isinstance(x, (tuple, list)):
+        return [_json(v) for v in x]
+    if isinstance(x, Fraction):
+        return str(x)
+    return x.to_json()
+
+
 class _Record:
     """Fields named by `__slots__`, set in that order by `_fill`; equal only
-    to a record of the same class with equal fields."""
+    to a record of the same class with equal fields, and written to JSON
+    field by field through :func:`_json`."""
 
     __slots__ = ()
 
     def _fill(self, *values):
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
+
+    def to_json(self):
+        return {name: _json(getattr(self, name)) for name in self.__slots__}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -543,26 +563,10 @@ class ClassifyReport(_Record):
         line_gons: list, smooth: bool, favorable_index: Optional[int],
         nabla_index: Optional[int], central: bool,
     ):
-        self.in_cone_interior = in_cone_interior
-        self.signature = signature
-        self.walls_on = walls_on
-        self.line_gons = line_gons
-        self.smooth = smooth
-        self.favorable_index = favorable_index
-        self.nabla_index = nabla_index
-        self.central = central
-
-    def to_json(self):
-        return {
-            "in_cone_interior": self.in_cone_interior,
-            "signature": self.signature.to_json(),
-            "walls_on": [list(J) for J in self.walls_on],
-            "line_gons": [list(J) for J in self.line_gons],
-            "smooth": self.smooth,
-            "favorable_index": self.favorable_index,
-            "nabla_index": self.nabla_index,
-            "central": self.central,
-        }
+        self._fill(
+            in_cone_interior, signature, walls_on, line_gons, smooth, favorable_index,
+            nabla_index, central,
+        )
 
 
 def classify(r, base: Optional[LengthVector] = None) -> ClassifyReport:

@@ -81,10 +81,10 @@ def _count(value: int, flag: str) -> int:
 
 
 def emit(command: str, options: dict, result, out=None):
+    """Write one JSON document; library values write themselves by ``to_json``."""
     out = out if out is not None else sys.stdout
     doc = {"command": command, "options": options, "result": result}
-    json.dump(doc, out, sort_keys=True, indent=2)
-    out.write("\n")
+    out.write(json.dumps(doc, sort_keys=True, indent=2, default=lambda x: x.to_json()) + "\n")
 
 
 # every flag spec once, as (option string, add_argument keywords)
@@ -111,7 +111,8 @@ COMMANDS = {}
 
 
 def command(name: str, help_text: str, *flags):
-    """Register a handler, which returns the result of subcommand `name`.
+    """Register a handler, which returns the result of subcommand `name`:
+    library values, which :func:`emit` writes, or a --out dot drawing.
 
     `flags` are keys of FLAGS, in the order --help lists them.
     """
@@ -163,7 +164,7 @@ def _bubble_tree(args):
 
 @command("classify", "exact chamber report", "r")
 def _classify(args):
-    return classify(parse_lengths(args.r)).to_json()
+    return classify(parse_lengths(args.r))
 
 
 @command("realize", "close a polygon and fix its gauge", "r", "seed", "tol", "parallel")
@@ -172,12 +173,12 @@ def _realize(args):
 
     tol = parse_tols(args.tol)
     frame = _frame(args, parse_lengths(args.r), tol)
-    return realize.canonicalize(frame, tol.angle).to_json()
+    return realize.canonicalize(frame, tol.angle)
 
 
 @command("stabilize", "bubble tree over a closed frame", "r", "seed", "eps", "tol", "parallel")
 def _stabilize(args):
-    return _bubble_tree(args)[0].to_json()
+    return _bubble_tree(args)[0]
 
 
 @command("limit", "bubble limit of a degenerating family", "r", "seed", "eps", "J", "tol", "steps")
@@ -189,7 +190,7 @@ def _limit(args):
     J = parse_subset(args.J)
     eps = parse_eps(args.eps, r)
     frames = _interpolating_family(r, J, args.seed, _count(args.steps, "--steps"))
-    return stable.limit(frames, J, eps.get(J), tol=tol).to_json()
+    return stable.limit(frames, J, eps.get(J), tol=tol)
 
 
 @command("curve", "combinatorial stable curve of a stable polygon",
@@ -199,7 +200,7 @@ def _curve(args):
 
     sp, tol = _bubble_tree(args)
     curve = stable.to_stable_curve(sp, tol)
-    return curve.to_dot() if args.out == "dot" else curve.to_json()
+    return curve.to_dot() if args.out == "dot" else curve
 
 
 @command("strata", "parallel-edge strata and their poset", "r", "include_empty")
@@ -207,10 +208,7 @@ def _strata(args):
     from . import cohomology
 
     entries, edges = cohomology.strata(parse_lengths(args.r), include_empty=args.include_empty)
-    return {
-        "strata": [e.to_json() for e in entries],
-        "poset_edges": [[[list(b) for b in a], [list(b) for b in c]] for a, c in edges],
-    }
+    return {"strata": entries, "poset_edges": edges}
 
 
 @command("schedule", "resolution and blowup schedule", "r", "eps", "out")
@@ -219,7 +217,7 @@ def _schedule(args):
 
     r = parse_lengths(args.r)
     steps = cohomology.schedule(r, parse_eps(args.eps, r))
-    return _schedule_dot(steps) if args.out == "dot" else [s.to_json() for s in steps]
+    return _schedule_dot(steps) if args.out == "dot" else steps
 
 
 @command("poincare", "Poincare polynomial, three methods",
@@ -239,7 +237,7 @@ def _poincare(args):
     else:
         r = parse_lengths(args.r)
         poly = cohomology.stable_betti(r, parse_eps(args.eps, r))
-    return {"coefficients": poly.to_json()}
+    return {"coefficients": poly}
 
 
 @command("cone", "sample the (r, eps) parameter cone", "n", "sample", "seed")
@@ -250,7 +248,7 @@ def _cone(args):
     points = [cone.param_sample(args.n, seed=args.seed + i) for i in sample]
     dim = cone.param_dim(args.n)
     ok = all(p.r.n + len(p.eps.eps) == dim and cone.param_contains(p) for p in points)
-    return {"param_dim": dim, "dimension_check": ok, "points": [p.to_json() for p in points]}
+    return {"param_dim": dim, "dimension_check": ok, "points": points}
 
 
 def run(args) -> int:

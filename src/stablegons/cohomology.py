@@ -201,17 +201,6 @@ class Stratum(_Record):
     def single_block(self) -> bool:
         return len(self.merged) == 1
 
-    def to_json(self):
-        return {
-            "blocks": [list(b) for b in self.blocks],
-            "k": self.k,
-            "dim": self.dim,
-            "merged": [list(b) for b in self.merged],
-            "nonempty_closed": self.nonempty_closed,
-            "nonempty_open": self.nonempty_open,
-            "r_alpha": [str(x) for x in self.r_alpha],
-        }
-
 
 def strata(r, include_empty: bool = False):
     """All parallel-edge strata of the polygon space of r.
@@ -275,15 +264,6 @@ class BlowupStep(_FrozenRecord):
 
     def __init__(self, kind, center, codim, nontrivial, eps: Optional[Fraction] = None):
         self._fill(kind, center, codim, nontrivial, eps)
-
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "center": list(self.center),
-            "codim": self.codim,
-            "nontrivial": self.nontrivial,
-            "eps": None if self.eps is None else str(self.eps),
-        }
 
 
 @functools.cache

@@ -24,7 +24,7 @@ The key operations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -36,6 +36,7 @@ from .chambers import (
     augment,
     rational,
     _check_subset,
+    _json,
     _seed,
 )
 from .errors import (
@@ -74,8 +75,15 @@ __all__ = [
 ]
 
 
+class _JsonFields:
+    """A dataclass written to JSON field by field, through the rule of every record."""
+
+    def to_json(self):
+        return {f.name: _json(getattr(self, f.name)) for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class StableNode:
+class StableNode(_JsonFields):
     """One component: the subset it lives over, its frame, and its children.
 
     A root has no slack (eps None) and a frame labelled by its subset; a
@@ -116,14 +124,6 @@ class StableNode:
         for child in self.children:
             yield from child.walk()
 
-    def to_json(self):
-        return {
-            "subset": list(self.subset),
-            "eps": None if self.eps is None else str(self.eps),
-            "frame": self.frame.to_json(),
-            "children": [c.to_json() for c in self.children],
-        }
-
 
 @dataclass(frozen=True)
 class StablePolygon:
@@ -163,7 +163,7 @@ class StablePolygon:
 
 
 @dataclass
-class Check:
+class Check(_JsonFields):
     name: str
     node: tuple
     ok: bool
@@ -171,21 +171,12 @@ class Check:
 
 
 @dataclass
-class StabilityReport:
+class StabilityReport(_JsonFields):
     ok: bool
     checks: list
 
     def failures(self):
         return [c for c in self.checks if not c.ok]
-
-    def to_json(self):
-        return {
-            "ok": self.ok,
-            "checks": [
-                {"name": c.name, "node": list(c.node), "ok": c.ok, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
 
 
 def validate(
@@ -430,7 +421,7 @@ class CurveVertex:
 
 
 @dataclass
-class DualCurve:
+class DualCurve(_JsonFields):
     vertices: list
     edges: list  # pairs of vertex subsets
 
@@ -452,12 +443,6 @@ class DualCurve:
             if v.subset == want:
                 return v
         raise InvalidArgument(f"no component of the curve has subset {list(want)}")
-
-    def to_json(self):
-        return {
-            "vertices": [v.to_json() for v in self.vertices],
-            "edges": [[list(a), list(b)] for a, b in self.edges],
-        }
 
     def to_dot(self) -> str:
         def name(subset):
