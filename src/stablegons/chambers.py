@@ -719,3 +719,10 @@ class EpsilonAssignment:
             ",".join(str(j) for j in sorted(k)): str(v) for k, v in self.eps.items()
         }
         return {"eps": body, "default": None if self.default is None else str(self.default)}
+
+
+def _slacks(eps) -> EpsilonAssignment:
+    """An EpsilonAssignment argument as it is; anything else is refused."""
+    if not isinstance(eps, EpsilonAssignment):
+        raise InvalidArgument(f"eps={eps!r} is not an EpsilonAssignment")
+    return eps

@@ -14,7 +14,7 @@ import json
 import sys
 from math import inf
 
-from .chambers import EpsilonAssignment, LengthVector, classify, rational
+from .chambers import EpsilonAssignment, LengthVector, _seed, classify, rational, wall_margin
 from .errors import InvalidArgument, NonConvergence
 
 
@@ -188,6 +188,8 @@ def _limit(args):
     tol = parse_tols(args.tol)
     r = parse_lengths(args.r)
     J = parse_subset(args.J)
+    if wall_margin(r, J) == 0:
+        raise InvalidArgument(f"r sits on the wall of --J {args.J}: it has no bubble limit")
     eps = parse_eps(args.eps, r)
     frames = _interpolating_family(r, J, args.seed, _count(args.steps, "--steps"))
     return stable.limit(frames, J, eps.get(J), tol=tol)
@@ -244,8 +246,8 @@ def _poincare(args):
 def _cone(args):
     from . import cone
 
-    sample = range(_count(args.sample, "--sample"))
-    points = [cone.param_sample(args.n, seed=args.seed + i) for i in sample]
+    seed, sample = _seed(args.seed), range(_count(args.sample, "--sample"))
+    points = [cone.param_sample(args.n, seed=seed + i) for i in sample]
     dim = cone.param_dim(args.n)
     ok = all(p.r.n + len(p.eps.eps) == dim and cone.param_contains(p) for p in points)
     return {"param_dim": dim, "dimension_check": ok, "points": points}

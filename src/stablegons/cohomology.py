@@ -50,6 +50,7 @@ from .chambers import (
     _FrozenRecord,
     _label,
     _Record,
+    _slacks,
     _walls_on,
 )
 from .errors import InternalError, InvalidArgument, RangeError
@@ -278,7 +279,7 @@ def _blowup_steps(n: int) -> tuple:
 
 
 def _require_legal(r: LengthVector, eps: Optional[EpsilonAssignment]) -> None:
-    if eps is not None and not eps.legal_for(r):
+    if eps is not None and not _slacks(eps).legal_for(r):
         raise RangeError(f"slacks {eps.to_json()} leave some 0 < eps_J < 2 min_J r_j")
 
 

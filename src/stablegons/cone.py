@@ -31,6 +31,7 @@ from .chambers import (
     _light,
     _Record,
     _seed,
+    _slacks,
 )
 from .errors import InternalError, InvalidArgument
 
@@ -94,7 +95,7 @@ class ParamPoint(_Record):
     __slots__ = ("r", "eps")
 
     def __init__(self, r: LengthVector, eps: EpsilonAssignment):
-        self.r, self.eps = r, eps
+        self.r, self.eps = r, _slacks(eps)
 
     def to_json(self):
         return {"r": [str(x) for x in self.r.r], "eps": self.eps.to_json()}

@@ -39,6 +39,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -91,6 +93,26 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+
+def _tolerances(tol) -> Tolerances:
+    """A Tolerances argument: None reads DEFAULT_TOL; anything but a Tolerances is refused."""
+    if tol is None:
+        return DEFAULT_TOL
+    if not isinstance(tol, Tolerances):
+        raise InvalidArgument(f"tol={tol!r} is not a Tolerances")
+    return tol
+
+
+def _tolerance(tol, default: float) -> float:
+    """A float tolerance: None reads `default`; anything but a finite real >= 0
+    (a bool, NaN, a string) is refused."""
+    if tol is None:
+        return default
+    if isinstance(tol, numbers.Real) and not isinstance(tol, bool):
+        if 0 <= tol <= sys.float_info.max:  # NaN fails both comparisons
+            return float(tol)
+    raise InvalidArgument(f"tol={tol!r} is not a finite real >= 0")
 
 
 def _norm(v: np.ndarray) -> float:
@@ -261,8 +283,7 @@ def close(r, seed=None, hints=None, tol: Optional[float] = None) -> EdgeFrame:
         raise InvalidArgument(
             "no closed polygon: r is not interior to the polygon cone"
         )
-    if tol is None:
-        tol = DEFAULT_TOL.closure
+    tol = _tolerance(tol, DEFAULT_TOL.closure)
     rf = np.array(r.floats())
     if hints is not None:
         h = np.asarray(hints, dtype=float)
@@ -298,6 +319,7 @@ def close_degenerate(r, classes, seed=None, tol: Optional[float] = None) -> Edge
     parallel class.
     """
     r = as_length_vector(r)
+    tol = _tolerance(tol, DEFAULT_TOL.closure)
     classes = [_check_subset(c, r.n, "parallel class") for c in classes]
     flat = [j for c in classes for j in c]
     if len(set(flat)) != len(flat):
@@ -362,8 +384,7 @@ def canonicalize(frame: EdgeFrame, tol: Optional[float] = None) -> EdgeFrame:
     two cross products are written out on floats (:func:`_cross`), bit for bit
     those of np.cross without its per-call axis handling.
     """
-    if tol is None:
-        tol = DEFAULT_TOL.angle
+    tol = _tolerance(tol, DEFAULT_TOL.angle)
     return EdgeFrame(frame.lengths, _gauge(frame.u, tol), frame.labels)
 
 
@@ -438,8 +459,7 @@ def parallel_classes(frame: EdgeFrame, tol: Optional[float] = None):
     theta radians loses at most sum_J r_j * theta^2 / 8 of diagonal length,
     so angle tolerance t corresponds to a length slack of order t^2.
     """
-    if tol is None:
-        tol = DEFAULT_TOL.angle
+    tol = _tolerance(tol, DEFAULT_TOL.angle)
     classes = frame._classes.get(tol)
     if classes is None:
         groups = _angle_groups(_pair_angles(frame.u), tol)
@@ -450,9 +470,7 @@ def parallel_classes(frame: EdgeFrame, tol: Optional[float] = None):
 
 def is_line_gon(frame: EdgeFrame, tol: Optional[float] = None) -> bool:
     """Do all edges lie on one line (each parallel or opposite to the first)?"""
-    if tol is None:
-        tol = DEFAULT_TOL.angle
-    return _on_one_axis(_pair_angles(frame.u), tol)
+    return _on_one_axis(_pair_angles(frame.u), _tolerance(tol, DEFAULT_TOL.angle))
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +545,7 @@ def moduli_point(frame: EdgeFrame, tol: Optional[float] = None) -> ModuliPoint:
     no marked-point moduli and are rejected.  Only the directions are read:
     :func:`_marks` does the work on the direction array, with no frame built.
     """
-    return _marks(frame.u, DEFAULT_TOL.angle if tol is None else tol)
+    return _marks(frame.u, _tolerance(tol, DEFAULT_TOL.angle))
 
 
 def _marks(u: np.ndarray, tol: float) -> ModuliPoint:
@@ -577,9 +595,7 @@ def pgl2_equivalent(
     not have picked the same normalization.  The margin behind the boolean is
     :func:`pgl2_distance`.
     """
-    if tol is None:
-        tol = DEFAULT_TOL.mobius
-    return pgl2_distance(a, b) <= tol
+    return pgl2_distance(a, b) <= _tolerance(tol, DEFAULT_TOL.mobius)
 
 
 def subpolygon(frame: EdgeFrame, J) -> EdgeFrame:
@@ -707,8 +723,7 @@ def transport(
     collapse target (new length = sum of the others), which returns the line
     configuration.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
+    tol = _tolerances(tol)
     if J is not None:
         frame = subpolygon(frame, J)
     b = rational(new_last_length)
@@ -766,8 +781,7 @@ def incidence(
     to the closing length |d_J(P)|, must match the sub-polygon of P on J as a
     moduli point.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
+    tol = _tolerances(tol)
     J = _check_subset(J, P.lengths.n)
     if not 2 <= len(J) <= P.lengths.n - 2:
         raise InvalidArgument(f"|J|={len(J)} cannot index a bubble")

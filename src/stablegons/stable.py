@@ -38,6 +38,7 @@ from .chambers import (
     _check_subset,
     _json,
     _seed,
+    _slacks,
 )
 from .errors import (
     InternalError,
@@ -47,7 +48,6 @@ from .errors import (
     StructureError,
 )
 from .realize import (
-    DEFAULT_TOL,
     FREE_EDGE,
     EdgeFrame,
     ModuliPoint,
@@ -55,6 +55,7 @@ from .realize import (
     _find,
     _marks,
     _norm,
+    _tolerances,
     close,
     diagonal,
     parallel_classes,
@@ -90,7 +91,7 @@ class StableNode(_JsonFields):
     bubble over J has the slack eps_J and a frame over (r_J, sum_J r_j - eps_J)
     labelled J plus FREE_EDGE.  Children are bubbles over proper subsets, and
     siblings are disjoint, so the subsets of a tree form a laminar family.
-    A subset is strictly increasing, and a bubble's has at least 2 labels.
+    A subset is strictly increasing; a bubble's has 2+ labels, its slack is a positive Fraction.
     A node that breaks these rules raises StructureError naming its subset.
     """
 
@@ -105,6 +106,8 @@ class StableNode(_JsonFields):
             raise StructureError(f"subset {name} is not strictly increasing")
         if self.eps is not None and len(self.subset) < 2:
             raise StructureError(f"bubble {name} has fewer than 2 labels")
+        if self.eps is not None and not (isinstance(self.eps, Fraction) and self.eps > 0):
+            raise StructureError(f"slack of bubble {name} is not a positive Fraction")
         want = self.subset if self.eps is None else self.subset + (FREE_EDGE,)
         if self.frame.labels != want:
             raise StructureError(f"frame of {name} must be labelled {list(want)}")
@@ -192,8 +195,7 @@ def validate(
     edge.  With `strict` set, collapse of the descendant diagonals is
     verified across non-parent ancestor pairs too.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
+    tol = _tolerances(tol)
     checks = []
     for nd in sp.root.walk():
         tag = nd.subset
@@ -303,8 +305,8 @@ def stabilize(
     filler; larger bubbles draw their free moduli from `filler`, either a
     master seed >= 0 or a mapping subset -> EdgeFrame for explicit bubbles.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
+    tol = _tolerances(tol)
+    eps = _slacks(eps)
     root_r = frame.lengths
     if not root_r.in_cone_interior():
         raise InvalidArgument("base frame must have an interior length vector")
@@ -363,8 +365,7 @@ def limit(
     strictly inside the window is cut along the diagonal and its sub-polygon
     transported to the bubble's closing length sum_J r_j - eps_J.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
+    tol = _tolerances(tol)
     if not frames:
         raise NoLimit("empty family")
     r = frames[0].lengths
@@ -496,8 +497,7 @@ def to_stable_curve(
     needs at least three special points; a line-polygon component can carry
     only two, and is flagged semistable (refused unless `allow_semistable`).
     """
-    if tol is None:
-        tol = DEFAULT_TOL
+    tol = _tolerances(tol)
     report = validate(sp, tol)
     if not report.ok:
         raise InvalidArgument(
